@@ -22,8 +22,8 @@
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
 
-using retri::bench::ExperimentConfig;
-using retri::bench::ExperimentResult;
+using retri::runner::ExperimentConfig;
+using retri::runner::ExperimentResult;
 using retri::runner::TrialRunner;
 using retri::runner::TrialRunnerOptions;
 using retri::stats::Table;

@@ -20,8 +20,8 @@
 #include "harness.hpp"
 #include "stats/table.hpp"
 
-using retri::bench::ExperimentConfig;
-using retri::bench::TrialSummary;
+using retri::runner::ExperimentConfig;
+using retri::runner::TrialSummary;
 using retri::stats::Table;
 using retri::stats::fmt;
 

@@ -14,9 +14,9 @@
 #include "harness.hpp"
 #include "stats/table.hpp"
 
-using retri::bench::ExperimentConfig;
-using retri::bench::TopologyKind;
-using retri::bench::TrialSummary;
+using retri::runner::ExperimentConfig;
+using retri::runner::TopologyKind;
+using retri::runner::TrialSummary;
 using retri::stats::Table;
 using retri::stats::fmt;
 

@@ -20,8 +20,8 @@
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
 
-using retri::bench::ExperimentConfig;
-using retri::bench::ExperimentResult;
+using retri::runner::ExperimentConfig;
+using retri::runner::ExperimentResult;
 using retri::stats::Table;
 using retri::stats::TrialSet;
 using retri::stats::fmt;

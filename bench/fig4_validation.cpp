@@ -19,8 +19,8 @@
 #include "stats/table.hpp"
 
 namespace model = retri::core::model;
-using retri::bench::ExperimentConfig;
-using retri::bench::TrialSummary;
+using retri::runner::ExperimentConfig;
+using retri::runner::TrialSummary;
 using retri::stats::Table;
 using retri::stats::fmt;
 

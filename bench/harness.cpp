@@ -6,11 +6,12 @@
 #include <string_view>
 
 #include "runner/result_sink.hpp"
+#include "sim/time.hpp"
 
 namespace retri::bench {
 
-TrialSummary run_trials(const ExperimentConfig& config, unsigned trials,
-                        unsigned jobs) {
+runner::TrialSummary run_trials(const runner::ExperimentConfig& config,
+                                unsigned trials, unsigned jobs) {
   runner::TrialRunnerOptions options;
   options.jobs = jobs;
   return runner::TrialRunner(options).run_summary(config, trials);
@@ -66,9 +67,11 @@ bool try_parse_args(int argc, char** argv, BenchArgs& args,
       }
     } else if (flag == "--seconds") {
       if (!next_value(value)) return false;
-      if (!parse_double(value, args.seconds) || args.seconds <= 0.0) {
-        error = "--seconds needs a positive number, got '" +
-                std::string(value) + "'";
+      // nan, inf and 1e300 all parse; from_seconds would overflow on them.
+      if (!parse_double(value, args.seconds) ||
+          !sim::Duration::fits_positive_seconds(args.seconds)) {
+        error = "--seconds needs a positive, finite number below 9.2e9, "
+                "got '" + std::string(value) + "'";
         return false;
       }
     } else if (flag == "--senders") {
@@ -101,11 +104,13 @@ bool try_parse_args(int argc, char** argv, BenchArgs& args,
     } else if (flag == "--selector") {
       if (!next_value(value)) return false;
       args.selector = std::string(value);
-    } else if (flag == "--via") {
+    } else if (flag == "--cache") {
       if (!next_value(value)) return false;
-      args.via = std::string(value);
-    } else if (flag == "--cache-info") {
-      args.cache_info = true;
+      if (value.empty()) {
+        error = "--cache needs a directory";
+        return false;
+      }
+      args.cache = std::string(value);
     } else if (flag == "--list") {
       args.list = true;
     } else if (flag == "--micro") {
@@ -143,9 +148,9 @@ int require_no_out(const BenchArgs& args, std::FILE* err) {
 }
 
 int export_result(const std::string& path, const runner::SweepResult& result,
-                  std::FILE* err, const runner::ServeAnnotations* serve) {
+                  std::FILE* err) {
   std::string error;
-  if (!runner::ResultSink::write_file(path, result, &error, serve)) {
+  if (!runner::ResultSink::write_file(path, result, &error)) {
     std::fprintf(err, "%s\n", error.c_str());
     return 2;
   }

@@ -1,11 +1,10 @@
 // Shared experiment harness for the bench binaries.
 //
-// The §5.1 experiment itself now lives in src/runner (runner::experiment);
-// this header re-exports those names under retri::bench so the figure
-// binaries keep reading like the paper, and adds the two bench-side pieces:
-// run_trials — a thin wrapper over runner::TrialRunner preserving the
-// historical serial-looking API while sharding trials across --jobs
-// workers — and the shared command-line grammar (parse_args).
+// The §5.1 experiment itself lives in src/runner (runner::experiment); this
+// header adds the two bench-side pieces: run_trials — a thin wrapper over
+// runner::TrialRunner preserving the historical serial-looking API while
+// sharding trials across --jobs workers — and the shared command-line
+// grammar (parse_args).
 #pragma once
 
 #include <cstddef>
@@ -20,26 +19,20 @@
 
 namespace retri::bench {
 
-using runner::ExperimentConfig;
-using runner::ExperimentResult;
-using runner::TopologyKind;
-using runner::TrialSummary;
-using runner::run_experiment;
-
 /// Runs `trials` independent trials of `config` — the paper's
 /// 10-trials-with-error-bars methodology — sharded across `jobs` workers.
 /// Trial t's seed is runner::derive_trial_seed(config.seed, t); results are
 /// aggregated in trial order, so the summary is bit-identical for any jobs
 /// value (see DESIGN.md on the runner).
-TrialSummary run_trials(const ExperimentConfig& config, unsigned trials,
-                        unsigned jobs = 1);
+runner::TrialSummary run_trials(const runner::ExperimentConfig& config,
+                                unsigned trials, unsigned jobs = 1);
 
 /// Parses "--flag value" style overrides shared by the benches:
 /// --trials N, --seconds S, --senders N, --seed X, --jobs N, --out FILE,
-/// --csv, plus the retri_bench-only --sweep NAME, --selector NAME, --list,
-/// and --micro. Unknown flags
-/// and malformed numeric values are fatal (typos must not silently run the
-/// default experiment).
+/// --csv, plus the retri_bench-only --sweep NAME, --selector NAME,
+/// --cache DIR, --list, --micro and --macro. Unknown flags and malformed
+/// numeric values are fatal (typos must not silently run the default
+/// experiment); --seconds must convert to a positive sim::Duration.
 struct BenchArgs {
   unsigned trials = 10;
   double seconds = 30.0;
@@ -56,14 +49,10 @@ struct BenchArgs {
   bool list = false;      // retri_bench: list available sweeps
   bool micro = false;     // retri_bench: run the hot-path micro suite
   bool macro = false;     // retri_bench: run the mixed-workload macro suite
-  /// retri_bench: fetch the sweep through a retri_serve daemon at this
-  /// Unix-socket path instead of simulating locally. Results (and the
-  /// default --out artifact) are bit-identical to a local run.
-  std::string via;
-  /// retri_bench: with --via, annotate the --out artifact with per-trial
-  /// cache provenance (schema v4 "cache"/"served_by" members). Off by
-  /// default so served artifacts stay byte-comparable to local ones.
-  bool cache_info = false;
+  /// retri_bench: memo-store directory for --sweep. Trials already in the
+  /// store are served instead of simulated; results (and the --out
+  /// artifact) are bit-identical to an uncached run.
+  std::string cache;
 };
 
 /// Non-exiting parser: returns false and fills `error` on unknown flags,
@@ -82,8 +71,7 @@ BenchArgs parse_args(int argc, char** argv);
 /// zero exit with no file poisons scripted pipelines. The failure reason
 /// is printed to `err`.
 int export_result(const std::string& path, const runner::SweepResult& result,
-                  std::FILE* err,
-                  const runner::ServeAnnotations* serve = nullptr);
+                  std::FILE* err);
 
 /// Exit-2 guard for the figure/ablation binaries, which print tables but
 /// never export JSON: the shared grammar accepts --out everywhere, and

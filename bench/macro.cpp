@@ -4,7 +4,7 @@
 #include <cassert>
 #include <utility>
 
-#include "runner/json.hpp"
+#include "util/json.hpp"
 #include "sim/engine.hpp"
 #include "sim/medium.hpp"
 #include "sim/topology.hpp"
@@ -189,7 +189,7 @@ std::vector<MacroResult> run_macro_suite() {
 
 std::string macro_to_json(const std::vector<MacroResult>& results,
                           bool pretty) {
-  runner::JsonWriter json(pretty);
+  util::JsonWriter json(pretty);
   json.begin_object();
   json.member("schema_version", kMacroSchemaVersion);
   json.member("suite", "macro");

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "runner/json.hpp"
+#include "util/json.hpp"
 #include "sim/engine.hpp"
 #include "sim/medium.hpp"
 #include "sim/topology.hpp"
@@ -150,7 +150,7 @@ std::vector<MicroResult> run_micro_suite() {
 
 std::string micro_to_json(const std::vector<MicroResult>& results,
                           bool pretty) {
-  runner::JsonWriter json(pretty);
+  util::JsonWriter json(pretty);
   json.begin_object();
   json.member("schema_version", kMicroSchemaVersion);
   json.member("suite", "micro");

@@ -25,13 +25,12 @@
 // fault injection, reported as events/sec and gated (with a machine-noise
 // tolerance on the time metrics) against bench/BENCH_macro.json.
 //
-//   retri_bench --sweep fig4 --via /tmp/retri.sock [--cache-info]
+//   retri_bench --sweep fig4 --cache .retri-cache
 //
-// fetches the sweep through a retri_serve daemon instead of simulating
-// locally: cells already in the daemon's result cache are served without
-// simulation, the rest run on the daemon's pool. The table and the --out
-// artifact are byte-identical to a local run; --cache-info opts into the
-// schema v4 provenance members (per-trial cache hit/key, served_by).
+// memoizes the sweep's trials in an on-disk store (serve::run_cached_sweep):
+// trials already in the store are served without simulation, the rest run
+// on --jobs workers and are added to it. The table and the --out artifact
+// are byte-identical to an uncached run.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -43,8 +42,7 @@
 #include "micro.hpp"
 #include "runner/result_sink.hpp"
 #include "runner/sweep.hpp"
-#include "serve/cache.hpp"
-#include "serve/client.hpp"
+#include "serve/memo.hpp"
 #include "stats/table.hpp"
 
 namespace runner = retri::runner;
@@ -146,9 +144,8 @@ int main(int argc, char** argv) {
                  "usage: retri_bench --sweep NAME [--jobs N] [--out FILE]\n"
                  "                   [--trials N] [--seconds S] [--senders N]\n"
                  "                   [--seed X] [--selector NAME|help]\n"
-                 "                   [--csv] [--via SOCKET\n"
-                 "                   [--cache-info]] | --list | --micro |\n"
-                 "                   --macro\n\n");
+                 "                   [--csv] [--cache DIR] | --list |\n"
+                 "                   --micro | --macro\n\n");
     list_sweeps(stderr);
     return 2;
   }
@@ -180,44 +177,23 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("sweep %s: %s\n(%zu points x %u trials x %.0f s, %s)\n\n",
+  std::printf("sweep %s: %s\n(%zu points x %u trials x %.0f s, %u jobs)\n\n",
               spec.name.c_str(), spec.description.c_str(), spec.point_count(),
-              spec.trials, args.seconds,
-              args.via.empty() ? (std::to_string(args.jobs) + " jobs").c_str()
-                               : ("via " + args.via).c_str());
+              spec.trials, args.seconds, args.jobs);
 
   runner::SweepResult result;
-  retri::runner::ServeAnnotations annotations;
-  bool annotated = false;
-  if (!args.via.empty()) {
-    // Server-fetched path: the daemon serves cached cells and simulates the
-    // rest; the reassembled result is bit-identical to a local run.
-    auto served = retri::serve::run_sweep_via(args.via, spec);
-    if (!served.ok()) {
-      std::fprintf(stderr, "retri_bench: %s\n", served.error().c_str());
-      return 1;
-    }
-    result = std::move(served.value().result);
-    std::fprintf(stderr, "served by %s: %llu cache hits, %llu simulated\n",
-                 served.value().job_id.c_str(),
-                 static_cast<unsigned long long>(served.value().hits),
-                 static_cast<unsigned long long>(served.value().misses));
-    if (args.cache_info) {
-      annotations.served_by = served.value().job_id;
-      annotations.code_version = std::string(retri::serve::kCodeVersion);
-      for (const auto& point : served.value().cache_info) {
-        auto& out = annotations.trials.emplace_back();
-        for (const retri::serve::TrialCacheInfo& info : point) {
-          out.push_back({info.hit, info.key});
-        }
-      }
-      annotated = true;
-    }
+  if (!args.cache.empty()) {
+    retri::serve::MemoOptions options;
+    options.cache_dir = args.cache;
+    options.jobs = args.jobs;
+    retri::serve::CachedSweep cached =
+        retri::serve::run_cached_sweep(spec, options);
+    result = std::move(cached.result);
+    std::fprintf(stderr, "cache %s: %llu hits, %llu simulated\n",
+                 args.cache.c_str(),
+                 static_cast<unsigned long long>(cached.stats.hits),
+                 static_cast<unsigned long long>(cached.stats.misses));
   } else {
-    if (args.cache_info) {
-      std::fprintf(stderr, "--cache-info requires --via SOCKET\n");
-      return 2;
-    }
     runner::SweepOptions options;
     options.jobs = args.jobs;
     options.on_point_done = [](const runner::SweepProgress& progress) {
@@ -245,8 +221,8 @@ int main(int argc, char** argv) {
   if (!args.out.empty()) {
     // Exit 2 (usage/IO error) when --out is unwritable: scripted pipelines
     // must never see a zero exit with the artifact silently missing.
-    if (const int status = retri::bench::export_result(
-            args.out, result, stderr, annotated ? &annotations : nullptr)) {
+    if (const int status =
+            retri::bench::export_result(args.out, result, stderr)) {
       return status;
     }
     std::printf("\nwrote %s (schema v%d, %zu points)\n", args.out.c_str(),

@@ -51,7 +51,8 @@ AffOutcome run_aff(unsigned id_bits, const char* policy, std::uint64_t seed) {
 
   radio::Radio gw_radio(medium, 0, radio::RadioConfig{},
                         radio::EnergyModel::rpc_like(), seed + 1);
-  auto gw_selector = core::make_selector(policy, core::IdSpace(id_bits), seed + 2);
+  const core::SelectorSpec spec = core::parse_selector_spec(policy).value();
+  auto gw_selector = core::make_selector(spec, core::IdSpace(id_bits), seed + 2);
   aff::AffDriver gateway(gw_radio, *gw_selector, config, 0);
 
   struct Sensor {
@@ -67,7 +68,7 @@ AffOutcome run_aff(unsigned id_bits, const char* policy, std::uint64_t seed) {
     s.radio = std::make_unique<radio::Radio>(medium, node, radio::RadioConfig{},
                                              radio::EnergyModel::rpc_like(),
                                              seed + 10 + node);
-    s.selector = core::make_selector(policy, core::IdSpace(id_bits),
+    s.selector = core::make_selector(spec, core::IdSpace(id_bits),
                                      seed + 20 + node);
     s.driver = std::make_unique<aff::AffDriver>(*s.radio, *s.selector, config,
                                                 node);

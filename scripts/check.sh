@@ -21,23 +21,19 @@
 #                Perfetto JSON must be byte-identical)
 #   8. selector — selector-zoo gate under the werror build: `ctest -L
 #                selector` (policy statistics, permutation injectivity, the
-#                SelectorSpec differential, the attacker model) plus a short
+#                attacker model) plus a short
 #                attacker soak: `retri_bench --sweep selectors` at --jobs 1
 #                vs --jobs 8 must emit byte-identical artifacts
-#   9. serve   — sweep-serving gate under the werror build: `ctest -L serve`
-#                (cache/codec/wire/server suites) plus scripts/serve_smoke.sh
-#                (daemon on a temp socket; same sweep submitted twice; the
-#                second run must be 100% cache hits with --out artifacts
-#                byte-identical to a local retri_bench run)
-#  10. serve-fault — crash-safety gate under the asan build: `ctest -L
-#                serve_fault` (the crash-point/fault soak suite) plus a
-#                `retri_chaos --serve-faults` run whose --jobs 1 vs
-#                --jobs 4 audit artifacts must be byte-identical; also
-#                runnable alone via `scripts/check.sh --serve-faults`
-#  11. tsan    — RETRI_SANITIZE=thread build + `ctest -L runner` (the
+#   9. cache   — memo-store gate under the werror build: `ctest -L serve`
+#                (cache, crash points, codec, cached sweep and chaos soak)
+#                plus one short sweep run three times — uncached, cold
+#                `--cache` at --jobs 1, warm `--cache` at --jobs 4: the
+#                three artifacts must be byte-identical and the warm run
+#                must report 0 simulated cells
+#  10. tsan    — RETRI_SANITIZE=thread build + `ctest -L runner` (the
 #                concurrency suite; TSan on the single-threaded sim buys
 #                nothing but runtime)
-#  12. perf    — opt-in via `scripts/check.sh --perf`: regenerates the
+#  11. perf    — opt-in via `scripts/check.sh --perf`: regenerates the
 #                micro-suite artifact with `retri_bench --micro` and gates
 #                allocs_per_op against the committed bench/BENCH_micro.json
 #                via scripts/bench_compare.py (zero tolerance — the metric
@@ -60,11 +56,9 @@ JOBS="${JOBS:-$(nproc)}"
 QUICK=0
 CHAOS_ONLY=0
 PERF=0
-SERVE_FAULTS_ONLY=0
 [[ "${1:-}" == "--quick" ]] && QUICK=1
 [[ "${1:-}" == "--chaos" ]] && CHAOS_ONLY=1
 [[ "${1:-}" == "--perf" ]] && PERF=1
-[[ "${1:-}" == "--serve-faults" ]] && SERVE_FAULTS_ONLY=1
 
 declare -a STAGE_NAMES=() STAGE_RESULTS=()
 FAILED=0
@@ -120,33 +114,6 @@ chaos_soak() {
 if [[ "$CHAOS_ONLY" == 1 ]]; then
   chaos_only_stage() { chaos_soak build-check/asan; }
   run_stage chaos chaos_only_stage
-  summary
-  exit "$FAILED"
-fi
-
-# --- serve-fault soak (shared by the serve-fault stage and --serve-faults) --
-# Crash points in the atomic store path plus injected I/O faults under a
-# real Server, against the ASan build so the SIGKILL-shaped unwinding is
-# also leak/UAF-clean. The audit fingerprint is a pure function of the
-# seed, so the --jobs 1 and --jobs 4 artifacts must be byte-identical.
-serve_fault_soak() {
-  local build="$1"
-  build_dir "$build" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DRETRI_SANITIZE=address &&
-  ctest --test-dir "$build" --output-on-failure -L serve_fault -j "$JOBS" &&
-  rm -rf "$build/serve-fault-j1" "$build/serve-fault-j4" &&
-  "$build/tools/chaos/retri_chaos" --serve-faults --rounds 12 --seed 5 \
-    --jobs 1 --dir "$build/serve-fault-j1" \
-    --out "$build/serve-fault-j1.json" &&
-  "$build/tools/chaos/retri_chaos" --serve-faults --rounds 12 --seed 5 \
-    --jobs 4 --dir "$build/serve-fault-j4" \
-    --out "$build/serve-fault-j4.json" &&
-  cmp "$build/serve-fault-j1.json" "$build/serve-fault-j4.json"
-}
-
-if [[ "$SERVE_FAULTS_ONLY" == 1 ]]; then
-  serve_faults_only_stage() { serve_fault_soak build-check/asan; }
-  run_stage serve-fault serve_faults_only_stage
   summary
   exit "$FAILED"
 fi
@@ -268,24 +235,30 @@ selector_stage() {
 }
 run_stage selector selector_stage
 
-# --- 9. sweep-serving gate ---------------------------------------------------
-# Unit suites for the cache/codec/wire/server layers, then the end-to-end
-# contract: a daemon on a temp socket must serve a repeated sweep entirely
-# from cache, byte-identical to a local retri_bench run.
-serve_stage() {
+# --- 9. memo-store gate -------------------------------------------------------
+# Unit suites for the cache/codec/memo layers, then the end-to-end contract
+# of `retri_bench --cache`: memoization only skips work, so an uncached run,
+# a cold cached run and a warm cached run at another --jobs value must emit
+# the same bytes, and the warm run must simulate nothing.
+cache_stage() {
+  local dir=build-check/werror/cache-stage
+  local bench=./build-check/werror/bench/retri_bench
+  local flags=(--sweep fig4 --trials 2 --seconds 2)
+  rm -rf "$dir" && mkdir -p "$dir" &&
   ctest --test-dir build-check/werror --output-on-failure -L serve \
     -j "$JOBS" &&
-  scripts/serve_smoke.sh build-check/werror
+  "$bench" "${flags[@]}" --jobs 4 --out "$dir/uncached.json" >/dev/null &&
+  "$bench" "${flags[@]}" --jobs 1 --cache "$dir/store" \
+    --out "$dir/cold.json" >/dev/null &&
+  "$bench" "${flags[@]}" --jobs 4 --cache "$dir/store" \
+    --out "$dir/warm.json" >/dev/null 2>"$dir/warm.log" &&
+  cmp "$dir/uncached.json" "$dir/cold.json" &&
+  cmp "$dir/uncached.json" "$dir/warm.json" &&
+  grep -q ' 0 simulated$' "$dir/warm.log"
 }
-run_stage serve serve_stage
+run_stage cache cache_stage
 
-# --- 10. serve-fault crash-safety gate ---------------------------------------
-# The asan tree already exists from stage 5; this re-selects the serve_fault
-# suite and runs the CLI soak's jobs-invariance diff on top of it.
-serve_fault_stage() { serve_fault_soak build-check/asan; }
-run_stage serve-fault serve_fault_stage
-
-# --- 11. ThreadSanitizer build + runner concurrency suite --------------------
+# --- 10. ThreadSanitizer build + runner concurrency suite --------------------
 tsan_stage() {
   build_dir build-check/tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DRETRI_SANITIZE=thread &&

@@ -72,10 +72,6 @@ struct AffDriverStatsSnapshot {
   std::uint64_t undecodable_frames = 0;
 };
 
-/// Deprecated spelling, kept as a thin alias for one PR while callers
-/// migrate to the snapshot name.
-using AffDriverStats = AffDriverStatsSnapshot;
-
 class AffDriver {
  public:
   using PacketHandler = std::function<void(const util::Bytes& packet)>;

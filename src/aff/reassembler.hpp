@@ -77,10 +77,6 @@ struct ReassemblerStatsSnapshot {
   std::uint64_t fragments_seen = 0;
 };
 
-/// Deprecated spelling, kept as a thin alias for one PR while callers
-/// migrate to the snapshot name.
-using ReassemblerStats = ReassemblerStatsSnapshot;
-
 class Reassembler {
  public:
   /// Invoked with the verified packet when reassembly completes.

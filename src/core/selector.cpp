@@ -433,11 +433,4 @@ std::unique_ptr<IdSelector> make_selector(const SelectorSpec& spec,
   throw std::invalid_argument("SelectorSpec.policy out of range");
 }
 
-std::unique_ptr<IdSelector> make_selector(std::string_view policy,
-                                          IdSpace space, std::uint64_t seed) {
-  auto spec = parse_selector_spec(policy);
-  if (!spec.ok()) throw std::invalid_argument(spec.error());
-  return make_selector(spec.value(), space, seed);
-}
-
 }  // namespace retri::core

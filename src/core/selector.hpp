@@ -380,11 +380,4 @@ class HybridSelector final : public IdSelector {
 std::unique_ptr<IdSelector> make_selector(const SelectorSpec& spec,
                                           IdSpace space, std::uint64_t seed);
 
-/// Legacy string-facing shim for CLI-ish call sites: parse_selector_spec +
-/// make_selector(spec). Throws std::invalid_argument (listing every policy)
-/// on an unknown name. Bit-identical to the spec path — it IS the spec
-/// path.
-std::unique_ptr<IdSelector> make_selector(std::string_view policy,
-                                          IdSpace space, std::uint64_t seed);
-
 }  // namespace retri::core

@@ -219,7 +219,7 @@ ChaosTrialResult run_chaos_trial(const ChaosTrialConfig& config) {
 
   // ---- invariant audit ----
 
-  const sim::MediumStats& m = out.medium;
+  const sim::MediumStatsSnapshot& m = out.medium;
   const std::uint64_t accounted = m.delivered + m.lost_random +
                                   m.lost_rf_collision + m.lost_half_duplex +
                                   m.lost_disabled + m.lost_fault;
@@ -231,7 +231,7 @@ ChaosTrialResult run_chaos_trial(const ChaosTrialConfig& config) {
         static_cast<unsigned long long>(accounted)));
   }
 
-  const FaultStats& f = out.faults;
+  const FaultStatsSnapshot& f = out.faults;
   if (f.intercepted != f.dropped_burst + f.forwarded) {
     out.violations.push_back(fmt_violation(
         "injector conservation: intercepted=%llu != dropped=%llu + "
@@ -248,7 +248,7 @@ ChaosTrialResult run_chaos_trial(const ChaosTrialConfig& config) {
   }
 
   const auto check_partition = [&](const char* label,
-                                   const aff::ReassemblerStats& r) {
+                                   const aff::ReassemblerStatsSnapshot& r) {
     if (r.fragments_seen !=
         r.accepted_fragments + r.malformed + r.orphan_fragments) {
       out.violations.push_back(fmt_violation(

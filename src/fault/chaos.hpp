@@ -8,7 +8,7 @@
 //
 //   1. medium conservation — every attempted delivery (plus every
 //      injector-duplicated copy) is accounted exactly once across the
-//      MediumStats outcome buckets;
+//      MediumStatsSnapshot outcome buckets;
 //   2. injector conservation — every intercepted delivery either dropped
 //      in the burst state or forwarded as >= 1 copy;
 //   3. reassembler conservation — fragments_seen partitions exactly into
@@ -63,10 +63,10 @@ ChaosTrialConfig validated(ChaosTrialConfig config);
 struct ChaosTrialResult {
   FaultPlan plan;
   sim::MediumConfig medium_config;  // randomized native-channel knobs
-  sim::MediumStats medium;
-  FaultStats faults;
-  aff::ReassemblerStats aff_reassembly;    // receiver, AFF-keyed
-  aff::ReassemblerStats truth_reassembly;  // receiver, unique-id-keyed
+  sim::MediumStatsSnapshot medium;
+  FaultStatsSnapshot faults;
+  aff::ReassemblerStatsSnapshot aff_reassembly;    // receiver, AFF-keyed
+  aff::ReassemblerStatsSnapshot truth_reassembly;  // receiver, unique-id-keyed
   std::uint64_t packets_offered = 0;
   std::uint64_t aff_delivered = 0;
   std::uint64_t truth_delivered = 0;

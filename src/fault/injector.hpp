@@ -46,10 +46,6 @@ struct FaultStatsSnapshot {
   //   copies_emitted >= forwarded  (duplication only adds copies)
 };
 
-/// Deprecated spelling, kept as a thin alias for one PR while callers
-/// migrate to the snapshot name.
-using FaultStats = FaultStatsSnapshot;
-
 class FaultInjector final : public sim::DeliveryInterceptor {
  public:
   /// Throws std::invalid_argument if the plan fails validated(). `hooks`

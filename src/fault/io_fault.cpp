@@ -1,6 +1,5 @@
 #include "fault/io_fault.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 
 #include "util/random.hpp"
@@ -17,8 +16,6 @@ enum Stream : std::uint64_t {
   kShortWrite = 0,
   kEintr = 1,
   kEnospc = 2,
-  kPartialRead = 3,
-  kDisconnect = 4,
 };
 
 std::uint64_t derive(std::uint64_t seed, std::uint64_t stream) {
@@ -35,55 +32,14 @@ std::uint64_t fnv1a64(std::string_view data) noexcept {
   return h;
 }
 
-void append(std::string& out, std::string_view label, double value) {
-  if (value <= 0.0) return;
-  if (!out.empty()) out += ' ';
-  out += label;
-  out += '=';
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3g", value);
-  out += buf;
-}
-
 }  // namespace
-
-std::string IoFaultPlan::describe() const {
-  std::string out;
-  append(out, "short_write", short_write_prob);
-  append(out, "eintr", eintr_prob);
-  append(out, "enospc", enospc_prob);
-  append(out, "partial_read", partial_read_prob);
-  append(out, "disconnect", disconnect_prob);
-  if (!crash_at.empty()) {
-    if (!out.empty()) out += ' ';
-    out += "crash_at=" + crash_at + "+" + std::to_string(crash_after);
-  }
-  if (out.empty()) out = "io-clean";
-  return out;
-}
 
 IoFaultPlan validated(IoFaultPlan plan) {
   util::Validator v("IoFaultPlan");
   v.probability("short_write_prob", plan.short_write_prob);
   v.probability("eintr_prob", plan.eintr_prob);
   v.probability("enospc_prob", plan.enospc_prob);
-  v.probability("partial_read_prob", plan.partial_read_prob);
-  v.probability("disconnect_prob", plan.disconnect_prob);
   return plan;
-}
-
-IoFaultPlan random_io_plan(std::uint64_t seed) {
-  util::Xoshiro256 rng(util::SplitMix64(seed ^ 0x10fa417'5ea7ULL).next());
-  IoFaultPlan plan;
-  // Each family toggles on independently (p = 1/2) with survivable rates:
-  // the point is exercising the retry/short-write loops, not starving the
-  // store so hard nothing ever persists.
-  if (rng.below(2) == 0) plan.short_write_prob = 0.05 + rng.uniform() * 0.45;
-  if (rng.below(2) == 0) plan.eintr_prob = 0.05 + rng.uniform() * 0.35;
-  if (rng.below(2) == 0) plan.enospc_prob = rng.uniform() * 0.3;
-  if (rng.below(2) == 0) plan.partial_read_prob = 0.05 + rng.uniform() * 0.45;
-  if (rng.below(2) == 0) plan.disconnect_prob = rng.uniform() * 0.1;
-  return validated(plan);
 }
 
 IoFaultInjector::IoFaultInjector(IoFaultPlan plan, std::uint64_t seed,
@@ -92,8 +48,6 @@ IoFaultInjector::IoFaultInjector(IoFaultPlan plan, std::uint64_t seed,
       short_write_seed_(derive(seed, kShortWrite)),
       eintr_seed_(derive(seed, kEintr)),
       enospc_seed_(derive(seed, kEnospc)),
-      partial_read_seed_(derive(seed, kPartialRead)),
-      disconnect_seed_(derive(seed, kDisconnect)),
       owned_metrics_(hooks.metrics != nullptr
                          ? nullptr
                          : std::make_unique<obs::MetricsRegistry>()) {
@@ -102,8 +56,6 @@ IoFaultInjector::IoFaultInjector(IoFaultPlan plan, std::uint64_t seed,
   counters_.short_writes = m.counter("fault.io.short_writes");
   counters_.eintr_injected = m.counter("fault.io.eintr");
   counters_.enospc_injected = m.counter("fault.io.enospc");
-  counters_.partial_reads = m.counter("fault.io.partial_reads");
-  counters_.disconnects = m.counter("fault.io.disconnects");
   counters_.crash_point_visits = m.counter("fault.io.crash_point_visits");
 }
 
@@ -112,8 +64,6 @@ IoFaultStatsSnapshot IoFaultInjector::stats() const noexcept {
   s.short_writes = counters_.short_writes.value();
   s.eintr_injected = counters_.eintr_injected.value();
   s.enospc_injected = counters_.enospc_injected.value();
-  s.partial_reads = counters_.partial_reads.value();
-  s.disconnects = counters_.disconnects.value();
   s.crash_point_visits = counters_.crash_point_visits.value();
   return s;
 }
@@ -149,17 +99,6 @@ std::size_t IoFaultInjector::clamp_write(std::string_view op_key,
   return draw_below(short_write_seed_, op_key, ordinal, n - 1);
 }
 
-std::size_t IoFaultInjector::clamp_read(std::string_view op_key,
-                                        std::uint64_t ordinal,
-                                        std::size_t n) {
-  if (n <= 1 || plan_.partial_read_prob <= 0.0) return n;
-  if (draw(partial_read_seed_, op_key, ordinal) >= plan_.partial_read_prob) {
-    return n;
-  }
-  counters_.partial_reads.inc();
-  return draw_below(partial_read_seed_, op_key, ordinal, n - 1);
-}
-
 bool IoFaultInjector::inject_eintr(std::string_view op_key,
                                    std::uint64_t ordinal) {
   if (plan_.eintr_prob <= 0.0) return false;
@@ -174,16 +113,6 @@ bool IoFaultInjector::inject_enospc(std::string_view op_key) {
   if (plan_.enospc_prob <= 0.0) return false;
   if (draw(enospc_seed_, op_key, 0) >= plan_.enospc_prob) return false;
   counters_.enospc_injected.inc();
-  return true;
-}
-
-bool IoFaultInjector::inject_disconnect(std::string_view op_key,
-                                        std::uint64_t ordinal) {
-  if (plan_.disconnect_prob <= 0.0) return false;
-  if (draw(disconnect_seed_, op_key, ordinal) >= plan_.disconnect_prob) {
-    return false;
-  }
-  counters_.disconnects.inc();
   return true;
 }
 

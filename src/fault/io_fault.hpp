@@ -3,29 +3,23 @@
 //
 // PR 3 proved the recipe for hostile *media*: a plan is plain data, every
 // fault family draws from its own seed-derived stream, and enabling one
-// family never perturbs another's decisions. The serve layer has the same
-// problem one level down — its correctness claims ("a crash never tears a
-// cache entry", "the client survives EINTR and short writes") are about
-// file and socket operations, which real kernels fail in ways unit tests
-// never exercise by accident. IoFaultPlan/IoFaultInjector make those
-// failures injectable and reproducible:
+// family never perturbs another's decisions. The memo store has the same
+// problem one level down — its correctness claim ("a crash never tears a
+// cache entry") is about file operations, which real kernels fail in ways
+// unit tests never exercise by accident. IoFaultPlan/IoFaultInjector make
+// those failures injectable and reproducible:
 //
 //   short writes   — write() accepts fewer bytes than offered;
-//   EINTR          — read()/write() interrupted before transferring data;
+//   EINTR          — write() interrupted before transferring data;
 //   ENOSPC         — a persistent store write fails mid-stream;
-//   partial reads  — read() returns fewer bytes than available;
-//   disconnects    — the peer vanishes mid-frame (ECONNRESET);
 //   crash points   — named markers in multi-step write paths (temp write →
 //                    rename → dir fsync); an armed point throws
 //                    CrashPointHit, modeling SIGKILL at that exact moment.
 //
-// Determinism has a twist the delivery-path injector does not need: serve
-// I/O happens on pool workers, so *sequence-ordered* streams would make
-// fault decisions depend on thread scheduling and break the soak's
-// jobs-invariant audit fingerprint. Every decision here is therefore a
-// pure function of (family seed, op key, ordinal) — the op key names the
-// object (cache key, socket role), the ordinal counts the caller's own
-// operations on it — so any interleaving of workers sees identical faults.
+// Every decision is a pure function of (family seed, op key, ordinal) —
+// the op key names the object (the cache key), the ordinal counts the
+// caller's own operations on it — so no call order or thread interleaving
+// can change which faults fire.
 //
 // The injector mutates no state on the decision path and is safe to share
 // across threads; the crash-point visit counter is atomic. Tally counters
@@ -47,49 +41,28 @@
 namespace retri::fault {
 
 /// One hostile-host configuration. Probabilities are per opportunity (one
-/// write chunk, one read chunk, one named crash-point visit).
+/// write chunk, one named crash-point visit).
 struct IoFaultPlan {
   /// Probability a write chunk is accepted only partially (at least one
   /// byte still transfers, like a real short write on a full pipe).
   double short_write_prob = 0.0;
-  /// Probability a read/write opportunity fails with EINTR first (the
-  /// caller must loop; a non-looping caller surfaces a spurious error).
+  /// Probability a write opportunity fails with EINTR first (the caller
+  /// must loop; a non-looping caller surfaces a spurious error).
   double eintr_prob = 0.0;
   /// Probability a persistent-store write fails with ENOSPC. Keyed by op
   /// key only (not ordinal): a full disk stays full for that store op.
   double enospc_prob = 0.0;
-  /// Probability a read chunk is truncated to a strictly shorter prefix
-  /// (at least one byte still transfers when any was available).
-  double partial_read_prob = 0.0;
-  /// Probability a socket op observes the peer gone (ECONNRESET).
-  double disconnect_prob = 0.0;
-
   /// Armed crash point: when a caller reaches crash_point(name) with this
   /// exact name, the injector throws CrashPointHit after `crash_after`
   /// prior visits (0 = first visit crashes). Empty = no crash armed.
   std::string crash_at;
   std::uint64_t crash_after = 0;
-
-  bool any_active() const noexcept {
-    return short_write_prob > 0.0 || eintr_prob > 0.0 || enospc_prob > 0.0 ||
-           partial_read_prob > 0.0 || disconnect_prob > 0.0 ||
-           !crash_at.empty();
-  }
-
-  /// Compact one-line description for soak logs.
-  std::string describe() const;
 };
 
 /// Probabilities real and in [0, 1]. Returns the plan unchanged or throws
 /// std::invalid_argument naming the field. IoFaultInjector calls this on
 /// construction.
 IoFaultPlan validated(IoFaultPlan plan);
-
-/// Deterministic randomized plan for serve-fault soaks, keyed entirely by
-/// `seed`: independently toggles each fault family on with survivable
-/// rates. Never arms a crash point (crash rounds are scheduled explicitly
-/// by the soak so the store audit knows what to expect).
-IoFaultPlan random_io_plan(std::uint64_t seed);
 
 /// Thrown by IoFaultInjector::crash_point when the armed point is reached.
 /// Models SIGKILL at that instant: callers must not clean up the partial
@@ -116,8 +89,6 @@ struct IoFaultStatsSnapshot {
   std::uint64_t short_writes = 0;
   std::uint64_t eintr_injected = 0;
   std::uint64_t enospc_injected = 0;
-  std::uint64_t partial_reads = 0;
-  std::uint64_t disconnects = 0;
   std::uint64_t crash_point_visits = 0;
 };
 
@@ -137,20 +108,12 @@ class IoFaultInjector {
   std::size_t clamp_write(std::string_view op_key, std::uint64_t ordinal,
                           std::size_t n);
 
-  /// Read-side decision: bytes (1..n) visible this round.
-  std::size_t clamp_read(std::string_view op_key, std::uint64_t ordinal,
-                         std::size_t n);
-
   /// True when opportunity `ordinal` on `op_key` should fail with EINTR
   /// before transferring anything.
   bool inject_eintr(std::string_view op_key, std::uint64_t ordinal);
 
   /// True when the store write named `op_key` runs out of space.
   bool inject_enospc(std::string_view op_key);
-
-  /// True when opportunity `ordinal` on `op_key` should observe a dead
-  /// peer (ECONNRESET).
-  bool inject_disconnect(std::string_view op_key, std::uint64_t ordinal);
 
   /// Marks one named point in a multi-step write path. Throws
   /// CrashPointHit when the plan arms this name and `crash_after` earlier
@@ -162,8 +125,6 @@ class IoFaultInjector {
     obs::Counter short_writes;
     obs::Counter eintr_injected;
     obs::Counter enospc_injected;
-    obs::Counter partial_reads;
-    obs::Counter disconnects;
     obs::Counter crash_point_visits;
   };
 
@@ -178,8 +139,6 @@ class IoFaultInjector {
   std::uint64_t short_write_seed_;
   std::uint64_t eintr_seed_;
   std::uint64_t enospc_seed_;
-  std::uint64_t partial_read_seed_;
-  std::uint64_t disconnect_seed_;
   std::atomic<std::uint64_t> crash_visits_{0};
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // fallback registry
   Counters counters_;

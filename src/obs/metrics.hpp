@@ -9,8 +9,9 @@
 //     keeps the retri_alloc_tests budgets intact with metrics enabled;
 //   - a snapshot() is a plain value in registration order, diffable and
 //     serializable (ResultSink embeds one per trial, schema v3);
-//   - the legacy structs (MediumStats, ReassemblerStats, ...) survive one
-//     PR as snapshot views built from registry reads.
+//   - the per-component stats structs (MediumStatsSnapshot,
+//     ReassemblerStatsSnapshot, ...) are snapshot views built from
+//     registry reads.
 //
 // Modes:
 //   - enabled (default): handles point into the registry's slot store;

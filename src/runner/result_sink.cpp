@@ -1,11 +1,13 @@
 #include "runner/result_sink.hpp"
 
 #include "obs/export.hpp"
-#include "runner/json.hpp"
 #include "runner/seeds.hpp"
+#include "util/json.hpp"
 
 namespace retri::runner {
 namespace {
+
+using util::JsonWriter;
 
 void write_config(JsonWriter& json, const ExperimentConfig& config) {
   json.begin_object();
@@ -57,9 +59,7 @@ void write_config(JsonWriter& json, const ExperimentConfig& config) {
 }
 
 void write_trial(JsonWriter& json, const ExperimentConfig& config,
-                 const ExperimentResult& trial,
-                 const ServeAnnotations::TrialCache* cache,
-                 const std::string* code_version) {
+                 const ExperimentResult& trial) {
   json.begin_object();
   json.member("seed", config.seed);
   json.member("packets_offered", trial.packets_offered);
@@ -78,14 +78,6 @@ void write_trial(JsonWriter& json, const ExperimentConfig& config,
   json.member("observed_frame_loss", trial.observed_frame_loss());
   json.key("metrics");
   obs::write_metrics_object(json, trial.metrics);
-  if (cache != nullptr) {
-    json.key("cache").begin_object();
-    json.member("hit", cache->hit);
-    json.member("key", cache->key);
-    json.member("code_version",
-                code_version != nullptr ? *code_version : std::string());
-    json.end_object();
-  }
   json.end_object();
 }
 
@@ -103,13 +95,11 @@ void write_trial_set(JsonWriter& json, const stats::TrialSet& set) {
 
 }  // namespace
 
-std::string ResultSink::to_json(const SweepResult& result, bool pretty,
-                                const ServeAnnotations* serve) {
+std::string ResultSink::to_json(const SweepResult& result, bool pretty) {
   JsonWriter json(pretty);
   json.begin_object();
   json.member("schema", "retri.sweep-result");
   json.member("schema_version", kSchemaVersion);
-  if (serve != nullptr) json.member("served_by", serve->served_by);
 
   json.key("sweep").begin_object();
   json.member("name", result.spec.name);
@@ -120,8 +110,7 @@ std::string ResultSink::to_json(const SweepResult& result, bool pretty,
   json.end_object();
 
   json.key("points").begin_array();
-  for (std::size_t p = 0; p < result.points.size(); ++p) {
-    const SweepPointResult& point = result.points[p];
+  for (const SweepPointResult& point : result.points) {
     json.begin_object();
     json.member("label", point.label);
     json.key("config");
@@ -131,13 +120,7 @@ std::string ResultSink::to_json(const SweepResult& result, bool pretty,
     for (std::size_t t = 0; t < point.trials.size(); ++t) {
       ExperimentConfig trial_config = point.config;
       trial_config.seed = derive_trial_seed(point.config.seed, t);
-      const ServeAnnotations::TrialCache* cache = nullptr;
-      if (serve != nullptr && p < serve->trials.size() &&
-          t < serve->trials[p].size()) {
-        cache = &serve->trials[p][t];
-      }
-      write_trial(json, trial_config, point.trials[t], cache,
-                  serve != nullptr ? &serve->code_version : nullptr);
+      write_trial(json, trial_config, point.trials[t]);
     }
     json.end_array();
 
@@ -159,9 +142,8 @@ std::string ResultSink::to_json(const SweepResult& result, bool pretty,
 }
 
 bool ResultSink::write_file(const std::string& path, const SweepResult& result,
-                            std::string* error, const ServeAnnotations* serve) {
-  return obs::write_text_file(path, to_json(result, /*pretty=*/true, serve),
-                              error);
+                            std::string* error) {
+  return obs::write_text_file(path, to_json(result), error);
 }
 
 }  // namespace retri::runner

@@ -11,27 +11,10 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "runner/sweep.hpp"
 
 namespace retri::runner {
-
-/// Opt-in provenance for server-fetched sweeps: which daemon job produced
-/// the artifact and, per (point, trial), whether the result came from the
-/// result cache and under which content address. Deliberately not part of
-/// the default artifact — the determinism contract is that a served sweep's
-/// default export is byte-identical to a local run's, and provenance is
-/// anything but a pure function of the SweepResult.
-struct ServeAnnotations {
-  std::string served_by;     // job id on the daemon
-  std::string code_version;  // serve::kCodeVersion at fetch time
-  struct TrialCache {
-    bool hit = false;
-    std::string key;  // cache content address of the cell
-  };
-  std::vector<std::vector<TrialCache>> trials;  // [point][trial]
-};
 
 class ResultSink {
  public:
@@ -40,10 +23,9 @@ class ResultSink {
   /// frames_lost_channel, observed_frame_loss.
   /// v3: trials gain a "metrics" object (the trial's obs::MetricsSnapshot)
   /// and aggregates gain "metrics_total" (snapshots folded in trial order).
-  /// v4: optional serve provenance — top-level "served_by" and per-trial
-  /// "cache" {hit, key, code_version} objects — emitted only when
-  /// ServeAnnotations are passed (retri_bench --via --cache-info); default
-  /// artifacts carry no serve members and stay bit-comparable to local runs.
+  /// v4: optional serve provenance ("served_by", per-trial "cache"),
+  /// emitted only on request; no longer produced, and never part of the
+  /// default artifact.
   /// v5: config's flat "policy" string becomes a structured "selector"
   /// object {policy, heed_notifications?, counter_salt?,
   /// permutation_period?}; configs with an active attacker gain an
@@ -51,16 +33,13 @@ class ResultSink {
   /// echo_probability, junk_bytes}.
   static constexpr int kSchemaVersion = 5;
 
-  /// Serializes `result` (pretty-printed when `pretty`). `serve`, when
-  /// non-null, adds the v4 provenance members.
-  static std::string to_json(const SweepResult& result, bool pretty = true,
-                             const ServeAnnotations* serve = nullptr);
+  /// Serializes `result` (pretty-printed when `pretty`).
+  static std::string to_json(const SweepResult& result, bool pretty = true);
 
   /// Writes to_json() to `path`. Returns false and fills `error` (if
   /// non-null) when the file cannot be written.
   static bool write_file(const std::string& path, const SweepResult& result,
-                         std::string* error = nullptr,
-                         const ServeAnnotations* serve = nullptr);
+                         std::string* error = nullptr);
 };
 
 }  // namespace retri::runner

@@ -37,17 +37,15 @@ std::uint64_t fnv1a64(std::string_view data) noexcept {
 }  // namespace
 
 ResultCache::ResultCache(CacheOptions options) : options_(std::move(options)) {
-  obs::MetricsRegistry* m =
-      options_.metrics != nullptr ? options_.metrics : &owned_metrics_;
-  hits_ = m->counter("serve.cache.hit");
-  misses_ = m->counter("serve.cache.miss");
-  evictions_ = m->counter("serve.cache.evict");
-  corrupt_ = m->counter("serve.cache.corrupt");
-  rejected_ = m->counter("serve.cache.rejected");
-  quarantined_ = m->counter("serve.cache.quarantined");
-  persist_fail_ = m->counter("serve.cache.persist_fail");
-  entries_gauge_ = m->gauge("serve.cache.entries");
-  bytes_gauge_ = m->gauge("serve.cache.bytes");
+  hits_ = metrics_.counter("serve.cache.hit");
+  misses_ = metrics_.counter("serve.cache.miss");
+  evictions_ = metrics_.counter("serve.cache.evict");
+  corrupt_ = metrics_.counter("serve.cache.corrupt");
+  rejected_ = metrics_.counter("serve.cache.rejected");
+  quarantined_ = metrics_.counter("serve.cache.quarantined");
+  persist_fail_ = metrics_.counter("serve.cache.persist_fail");
+  entries_gauge_ = metrics_.gauge("serve.cache.entries");
+  bytes_gauge_ = metrics_.gauge("serve.cache.bytes");
   if (!options_.dir.empty()) {
     std::error_code ec;
     fs::create_directories(options_.dir, ec);

@@ -14,12 +14,12 @@
 //      the on-disk store is loaded AND on every hit, so a corrupted or
 //      hand-edited entry is detected rather than returned;
 //   3. the entry stores the producer's semantic fingerprint
-//      (runner::fingerprint / fault::fingerprint), which the server
+//      (runner::fingerprint / fault::fingerprint), which serve::memoize
 //      re-derives from the decoded body on each hit — a body that decodes
 //      cleanly but no longer describes the same trial is rejected too.
 // Entries are bounded by a byte budget with LRU eviction (get() refreshes
-// recency) and persist as one file per key under `dir`, so a restarted
-// daemon reloads its memo table instead of re-simulating history.
+// recency) and persist as one file per key under `dir`, so the next run
+// reloads its memo table instead of re-simulating history.
 //
 // Crash safety (DESIGN.md §5i): every store write goes through
 // serve::atomic_write_file — temp file, fsync, rename, directory fsync — so
@@ -29,9 +29,8 @@
 // therefore never be served. The crash-point tests in test_serve_cache.cpp
 // arm each point in serve::kCrashPoints and audit exactly this contract.
 //
-// Not thread-safe: the owning layer (serve::Server, the cached chaos soak)
-// serializes access under its own mutex, the same discipline the
-// MetricsRegistry uses.
+// Not thread-safe: serve::memoize keeps every cache call on its calling
+// thread and only the simulations themselves on pool workers.
 #pragma once
 
 #include <cstddef>
@@ -57,16 +56,13 @@ namespace retri::serve {
 inline constexpr std::string_view kCodeVersion = "retri-sim-v2";
 
 struct CacheOptions {
-  /// Directory for the persistent store; empty = memory-only (tests, or a
-  /// deliberately ephemeral daemon). Created if missing.
+  /// Directory for the persistent store; empty = memory-only (tests).
+  /// Created if missing.
   std::string dir;
   /// Byte budget over the sum of entry body sizes. Inserting past it
   /// evicts least-recently-used entries; a single body larger than the
   /// budget is rejected outright.
   std::size_t byte_budget = 256u << 20;
-  /// Optional registry for serve.cache.* metrics (hit/miss/evict/corrupt
-  /// counters, entries/bytes gauges).
-  obs::MetricsRegistry* metrics = nullptr;
   /// Optional fault hook for the persist path (crash points, injected
   /// ENOSPC, short writes). Null in production.
   fault::IoFaultInjector* io_faults = nullptr;
@@ -86,13 +82,6 @@ class ResultCache {
   /// stored CRC is dropped (and its file deleted) and reported as a miss.
   std::optional<Entry> get(const std::string& key);
 
-  /// Presence probe with no side effects: no LRU refresh, no metrics. Used
-  /// for admission-control sizing ("how many cells would miss?") where a
-  /// metered get() would skew hit statistics before the job is admitted.
-  bool contains(const std::string& key) const noexcept {
-    return index_.count(key) != 0;
-  }
-
   /// Inserts or replaces `key`, persists it (when dir is set), then evicts
   /// LRU entries until the byte budget holds.
   void put(const std::string& key, std::string kind, std::string fingerprint,
@@ -105,14 +94,11 @@ class ResultCache {
   std::size_t entries() const noexcept { return index_.size(); }
   std::size_t bytes() const noexcept { return bytes_; }
 
-  // Counter reads for status reporting (ServerStatus / retri_serve
-  // --status). Cheap slot reads; zero when metrics are compiled out.
-  std::uint64_t hits() const noexcept { return hits_.value(); }
-  std::uint64_t misses() const noexcept { return misses_.value(); }
-  /// Files removed from the store because they could not be trusted:
-  /// orphaned `*.tmp` from crashed writes plus entries failing CRC or
-  /// schema checks at load time.
-  std::uint64_t quarantined() const noexcept { return quarantined_.value(); }
+  /// The serve.cache.* counters: hit, miss, evict, corrupt, rejected,
+  /// persist_fail, and quarantined — files removed from the store because
+  /// they could not be trusted (orphaned `*.tmp` from crashed writes plus
+  /// entries failing CRC or schema checks at load time).
+  const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
 
   /// Keys are pure content addresses: hex(fnv1a64(code_version ‖ '\n' ‖
   /// canonical_cell)). The cell JSON must already embed the trial seed.
@@ -136,10 +122,7 @@ class ResultCache {
   void drop(const std::string& key, bool unlink = true);
 
   CacheOptions options_;
-  /// Fallback registry when no external one is attached, so the counter
-  /// accessors above always read real values (same pattern as
-  /// fault::FaultInjector).
-  obs::MetricsRegistry owned_metrics_;
+  obs::MetricsRegistry metrics_;
   std::list<std::string> lru_;  // front = most recently used
   std::unordered_map<std::string, Slot> index_;
   std::size_t bytes_ = 0;

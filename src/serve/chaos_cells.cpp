@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "runner/seeds.hpp"
-#include "runner/thread_pool.hpp"
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
 
@@ -12,6 +11,14 @@ namespace retri::serve {
 namespace {
 
 constexpr std::string_view kChaosKind = "chaos-trial";
+
+std::string stored_fingerprint(const ChaosCellRecord& record) {
+  return record.fingerprint;
+}
+
+constexpr CellCodec<ChaosCellRecord> kChaosTrial{
+    kChaosKind, &encode_chaos_record, &decode_chaos_record,
+    &stored_fingerprint};
 
 }  // namespace
 
@@ -96,67 +103,25 @@ std::string canonical_chaos_cell(const fault::ChaosTrialConfig& config) {
 }
 
 CachedChaosSoak run_cached_chaos_soak(const fault::ChaosTrialConfig& base,
-                                      const CachedChaosOptions& options) {
-  const unsigned seeds = options.seeds == 0 ? 1 : options.seeds;
-  ResultCache cache(
-      CacheOptions{options.cache_dir, options.byte_budget, nullptr});
-
-  CachedChaosSoak soak;
-  soak.records.resize(seeds);
-
-  // Phase 1 (single-threaded): probe the cache for every seed. The cache
-  // is not thread-safe, so all cache traffic stays on this thread.
-  std::vector<unsigned> missing;
-  std::vector<std::string> keys(seeds);
-  std::vector<fault::ChaosTrialConfig> configs(seeds, base);
-  for (unsigned i = 0; i < seeds; ++i) {
+                                      unsigned seeds,
+                                      const MemoOptions& options) {
+  std::vector<fault::ChaosTrialConfig> configs(seeds == 0 ? 1 : seeds, base);
+  std::vector<std::string> keys;
+  keys.reserve(configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
     configs[i].seed = runner::derive_trial_seed(base.seed, i);
-    keys[i] =
-        ResultCache::make_key(kCodeVersion, canonical_chaos_cell(configs[i]));
-    bool served = false;
-    if (auto entry = cache.get(keys[i])) {
-      if (entry->kind == kChaosKind) {
-        auto decoded = decode_chaos_record(entry->body);
-        // The flat record cannot re-derive fault::fingerprint, so the
-        // semantic check is the cross-equality of the body's stored
-        // fingerprint with the entry's label.
-        if (decoded.ok() &&
-            decoded.value().fingerprint == entry->fingerprint) {
-          soak.records[i] = std::move(decoded).value();
-          ++soak.hits;
-          served = true;
-        }
-      }
-      if (!served) cache.invalidate(keys[i]);
-    }
-    if (!served) missing.push_back(i);
+    keys.push_back(
+        ResultCache::make_key(kCodeVersion, canonical_chaos_cell(configs[i])));
   }
 
-  // Phase 2: simulate the misses (trial-local state, freely parallel),
-  // results landing in index slots exactly like run_chaos_soak.
-  std::vector<fault::ChaosTrialResult> fresh(missing.size());
-  auto run_one = [&](std::size_t slot) {
-    fresh[slot] = fault::run_chaos_trial(configs[missing[slot]]);
-  };
-  if (options.jobs <= 1 || missing.size() <= 1) {
-    for (std::size_t slot = 0; slot < missing.size(); ++slot) run_one(slot);
-  } else {
-    runner::ThreadPool pool(options.jobs);
-    for (std::size_t slot = 0; slot < missing.size(); ++slot) {
-      pool.submit([&run_one, slot] { run_one(slot); });
-    }
-    pool.wait_idle();
-  }
-
-  // Phase 3 (single-threaded again): commit and project.
-  for (std::size_t slot = 0; slot < missing.size(); ++slot) {
-    const unsigned i = missing[slot];
-    ChaosCellRecord record = project(fresh[slot]);
-    cache.put(keys[i], std::string(kChaosKind), record.fingerprint,
-              encode_chaos_record(record));
-    soak.records[i] = std::move(record);
-    ++soak.misses;
-  }
+  ResultCache cache(CacheOptions{options.cache_dir});
+  CachedChaosSoak soak;
+  soak.stats = memoize(
+      cache, kChaosTrial, keys, options.jobs,
+      [&configs](std::size_t i) {
+        return project(fault::run_chaos_trial(configs[i]));
+      },
+      soak.records);
   return soak;
 }
 

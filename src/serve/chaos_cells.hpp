@@ -1,18 +1,21 @@
 // Memoized chaos soaks: the ResultCache applied to fault trials.
 //
 // A chaos trial is (like a sweep trial) a pure function of its config, so
-// a killed 500-seed soak should not restart from seed 0. ChaosCellRecord
+// a re-run or extended soak need not re-simulate the seeds earlier runs
+// finished. ChaosCellRecord
 // is the flat projection of a ChaosTrialResult containing exactly what
 // retri_chaos prints and exports — plan description, the conservation
 // counters, violations, and the canonical fingerprint — deliberately NOT
 // the full nested stats structs, which would drag half the simulator's
 // types into a serialization surface for no consumer.
 //
-// Hit verification differs from sweep trials: fault::fingerprint cannot be
-// re-derived from the flat record (it covers the nested stats), so a hit
-// is trusted when its CRC passes AND the fingerprint stored in the record
-// body equals the fingerprint the cache entry was labeled with — a
-// tampered body that still parses fails that cross-check.
+// Hit verification (serve::memoize) differs from sweep trials only in what
+// counts as the record's fingerprint: fault::fingerprint cannot be
+// re-derived from the flat record (it covers the nested stats), so the
+// fingerprint stored in the record body stands in for it. A hit is then
+// trusted when its CRC passes AND that stored fingerprint equals the one
+// the cache entry was labeled with — a tampered body that still parses
+// fails the cross-check.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +24,7 @@
 #include <vector>
 
 #include "fault/chaos.hpp"
-#include "serve/cache.hpp"
+#include "serve/memo.hpp"
 #include "util/result.hpp"
 
 namespace retri::serve {
@@ -51,27 +54,18 @@ util::Result<ChaosCellRecord, std::string> decode_chaos_record(
 /// in), the cache-key input for chaos entries.
 std::string canonical_chaos_cell(const fault::ChaosTrialConfig& config);
 
-struct CachedChaosOptions {
-  unsigned seeds = 50;
-  unsigned jobs = 1;
-  /// On-disk cache directory (the soak's memo table). Required — a
-  /// memory-only cached soak would memoize nothing across runs.
-  std::string cache_dir;
-  std::size_t byte_budget = 256u << 20;
-};
-
 struct CachedChaosSoak {
   std::vector<ChaosCellRecord> records;  // seed-index order
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
+  MemoStats stats;
 };
 
 /// run_chaos_soak with memoization: trial i (seed derive_trial_seed(
-/// base.seed, i)) is served from `cache_dir` when a verified entry exists,
-/// simulated otherwise, and every fresh result is committed before
-/// returning — so a killed soak resumes where it died. Records are
+/// base.seed, i)) is served from options.cache_dir when a verified entry
+/// exists and simulated otherwise; fresh results are committed before
+/// returning, so the next run re-simulates none of them. Records are
 /// bit-identical to an uncached soak's projections for any jobs value.
 CachedChaosSoak run_cached_chaos_soak(const fault::ChaosTrialConfig& base,
-                                      const CachedChaosOptions& options);
+                                      unsigned seeds,
+                                      const MemoOptions& options);
 
 }  // namespace retri::serve

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "serve/cache.hpp"
-
 namespace retri::serve {
 
 namespace {
@@ -13,7 +11,7 @@ using util::JsonValue;
 // --- strict field extraction ----------------------------------------------
 // Each getter either fills `out` or records the first error. Decoders bail
 // on the first failure; the message names the offending key so a corrupt
-// cache body or malformed wire frame is diagnosable from the error alone.
+// cache body is diagnosable from the error alone.
 
 bool fail(std::string& err, std::string_view key, std::string_view what) {
   if (err.empty()) {
@@ -54,14 +52,6 @@ bool get_str(const JsonValue& doc, std::string_view key, std::string& out,
   return true;
 }
 
-bool get_bool(const JsonValue& doc, std::string_view key, bool& out,
-              std::string& err) {
-  const JsonValue* v = doc.find(key);
-  if (v == nullptr || !v->is_bool()) return fail(err, key, "expected bool");
-  out = v->as_bool();
-  return true;
-}
-
 bool get_array(const JsonValue& doc, std::string_view key,
                const JsonValue*& out, std::string& err) {
   const JsonValue* v = doc.find(key);
@@ -70,67 +60,9 @@ bool get_array(const JsonValue& doc, std::string_view key,
   return true;
 }
 
-bool get_duration(const JsonValue& doc, std::string_view key,
-                  sim::Duration& out, std::string& err) {
-  std::int64_t ns = 0;
-  if (!get_i64(doc, key, ns, err)) return false;
-  out = sim::Duration::nanoseconds(ns);
-  return true;
-}
-
-// --- enum spellings --------------------------------------------------------
-// The encode side reuses runner::to_string; decode inverts it here so a new
-// enumerator without a decode arm fails loudly (unknown-name error) instead
-// of defaulting.
-
-bool parse_topology(std::string_view name, runner::TopologyKind& out) {
-  if (name == to_string(runner::TopologyKind::kStarFullMesh)) {
-    out = runner::TopologyKind::kStarFullMesh;
-    return true;
-  }
-  if (name == to_string(runner::TopologyKind::kHiddenTerminal)) {
-    out = runner::TopologyKind::kHiddenTerminal;
-    return true;
-  }
-  return false;
-}
-
-bool parse_density_model(std::string_view name, core::DensityModelKind& out) {
-  for (const auto kind :
-       {core::DensityModelKind::kEwma, core::DensityModelKind::kInstantaneous,
-        core::DensityModelKind::kPeakWindow}) {
-    if (name == runner::to_string(kind)) {
-      out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool parse_selector_policy(std::string_view name, core::SelectorPolicy& out) {
-  for (const auto policy :
-       {core::SelectorPolicy::kUniform, core::SelectorPolicy::kListening,
-        core::SelectorPolicy::kCounter, core::SelectorPolicy::kHashedCounter,
-        core::SelectorPolicy::kPermutation, core::SelectorPolicy::kHybrid}) {
-    if (name == core::to_string(policy)) {
-      out = policy;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool parse_attacker_mode(std::string_view name, fault::AttackerMode& out) {
-  auto parsed = fault::parse_attacker_mode(name);
-  if (!parsed.ok()) return false;
-  out = parsed.value();
-  return true;
-}
-
-// Selector/attacker sub-objects appear both inside configs and as sweep
-// axis entries, so they get their own write/decode pair. Every field is
+// Selector/attacker sub-objects of the canonical cell. Every field is
 // written unconditionally: canonical_cell must be a pure function of the
-// config, and decode must invert encode exactly.
+// config.
 
 void write_selector(util::JsonWriter& json, const core::SelectorSpec& spec) {
   json.begin_object();
@@ -146,31 +78,6 @@ void write_selector(util::JsonWriter& json, const core::SelectorSpec& spec) {
   json.end_object();
 }
 
-bool decode_selector(const JsonValue& doc, core::SelectorSpec& out,
-                     std::string& err) {
-  if (!doc.is_object()) return fail(err, "selector", "expected object");
-  std::string policy;
-  std::uint64_t fixed_window = 0;
-  std::uint64_t notification_multiplier = 0;
-  if (!get_str(doc, "policy", policy, err) ||
-      !get_dbl(doc, "initial_density", out.listening.initial_density, err) ||
-      !get_u64(doc, "fixed_window", fixed_window, err) ||
-      !get_bool(doc, "heed_notifications", out.listening.heed_notifications,
-                err) ||
-      !get_u64(doc, "notification_multiplier", notification_multiplier, err) ||
-      !get_u64(doc, "counter_salt", out.counter_salt, err) ||
-      !get_u64(doc, "permutation_period", out.permutation_period, err)) {
-    return false;
-  }
-  out.listening.fixed_window = static_cast<std::size_t>(fixed_window);
-  out.listening.notification_multiplier =
-      static_cast<std::size_t>(notification_multiplier);
-  if (!parse_selector_policy(policy, out.policy)) {
-    return fail(err, "policy", "unknown selector policy \"" + policy + "\"");
-  }
-  return true;
-}
-
 void write_attacker(util::JsonWriter& json, const fault::AttackerPlan& plan) {
   json.begin_object();
   json.member("mode", fault::to_string(plan.mode));
@@ -179,25 +86,6 @@ void write_attacker(util::JsonWriter& json, const fault::AttackerPlan& plan) {
   json.member("echo_probability", plan.echo_probability);
   json.member("junk_bytes", static_cast<std::uint64_t>(plan.junk_bytes));
   json.end_object();
-}
-
-bool decode_attacker(const JsonValue& doc, fault::AttackerPlan& out,
-                     std::string& err) {
-  if (!doc.is_object()) return fail(err, "attacker", "expected object");
-  std::string mode;
-  std::uint64_t junk_bytes = 0;
-  if (!get_str(doc, "mode", mode, err) ||
-      !get_duration(doc, "flood_interval_ns", out.flood_interval, err) ||
-      !get_duration(doc, "echo_delay_ns", out.echo_delay, err) ||
-      !get_dbl(doc, "echo_probability", out.echo_probability, err) ||
-      !get_u64(doc, "junk_bytes", junk_bytes, err)) {
-    return false;
-  }
-  out.junk_bytes = static_cast<std::size_t>(junk_bytes);
-  if (!parse_attacker_mode(mode, out.mode)) {
-    return fail(err, "mode", "unknown attacker mode \"" + mode + "\"");
-  }
-  return true;
 }
 
 bool parse_metric_kind(std::string_view name, obs::MetricKind& out) {
@@ -340,68 +228,6 @@ std::string canonical_cell(const runner::ExperimentConfig& config) {
   return json.str();
 }
 
-util::Result<runner::ExperimentConfig, std::string> decode_config(
-    const util::JsonValue& doc) {
-  if (!doc.is_object()) return std::string("config: expected object");
-  runner::ExperimentConfig config;
-  std::string err;
-  std::uint64_t senders = 0;
-  std::uint64_t id_bits = 0;
-  std::uint64_t packet_bytes = 0;
-  std::string topology;
-  std::string density_model;
-  const util::JsonValue* per_sender = nullptr;
-  const util::JsonValue* selector = doc.find("selector");
-  if (selector == nullptr) {
-    return std::string("config: field \"selector\": missing");
-  }
-  if (!decode_selector(*selector, config.selector, err)) {
-    return "config: " + err;
-  }
-  const util::JsonValue* attacker = doc.find("attacker");
-  if (attacker == nullptr) {
-    return std::string("config: field \"attacker\": missing");
-  }
-  if (!decode_attacker(*attacker, config.attacker, err)) {
-    return "config: " + err;
-  }
-  if (!get_u64(doc, "senders", senders, err) ||
-      !get_str(doc, "topology", topology, err) ||
-      !get_u64(doc, "id_bits", id_bits, err) ||
-      !get_u64(doc, "packet_bytes", packet_bytes, err) ||
-      !get_array(doc, "per_sender_packet_bytes", per_sender, err) ||
-      !get_duration(doc, "send_ns", config.send_duration, err) ||
-      !get_duration(doc, "drain_ns", config.drain_extra, err) ||
-      !get_bool(doc, "collision_notifications", config.collision_notifications,
-                err) ||
-      !get_duration(doc, "tx_jitter_ns", config.tx_jitter, err) ||
-      !get_dbl(doc, "sender_listen_duty", config.sender_listen_duty, err) ||
-      !get_duration(doc, "duty_period_ns", config.duty_period, err) ||
-      !get_str(doc, "density_model", density_model, err) ||
-      !get_dbl(doc, "loss_rate", config.loss_rate, err) ||
-      !get_str(doc, "channel", config.channel, err) ||
-      !get_u64(doc, "seed", config.seed, err)) {
-    return "config: " + err;
-  }
-  config.senders = static_cast<std::size_t>(senders);
-  config.id_bits = static_cast<unsigned>(id_bits);
-  config.packet_bytes = static_cast<std::size_t>(packet_bytes);
-  for (const util::JsonValue& bytes : per_sender->items()) {
-    if (!bytes.is_number()) {
-      return std::string("config: per_sender_packet_bytes: expected numbers");
-    }
-    config.per_sender_packet_bytes.push_back(
-        static_cast<std::size_t>(bytes.as_u64()));
-  }
-  if (!parse_topology(topology, config.topology)) {
-    return "config: unknown topology \"" + topology + "\"";
-  }
-  if (!parse_density_model(density_model, config.density_model)) {
-    return "config: unknown density_model \"" + density_model + "\"";
-  }
-  return config;
-}
-
 // --- ExperimentResult ------------------------------------------------------
 
 void write_result(util::JsonWriter& json,
@@ -460,197 +286,6 @@ util::Result<runner::ExperimentResult, std::string> decode_result_text(
   auto parsed = util::parse_json(text);
   if (!parsed.ok()) return "result: " + parsed.error().describe();
   return decode_result(parsed.value());
-}
-
-// --- SweepSpec -------------------------------------------------------------
-
-void write_sweep_spec(util::JsonWriter& json, const runner::SweepSpec& spec) {
-  json.begin_object();
-  json.member("name", spec.name);
-  json.member("description", spec.description);
-  json.member("trials", spec.trials);
-  json.key("base");
-  write_config(json, spec.base);
-  json.key("id_bits");
-  json.begin_array();
-  for (const unsigned bits : spec.id_bits) json.value(bits);
-  json.end_array();
-  json.key("selectors");
-  json.begin_array();
-  for (const core::SelectorSpec& selector : spec.selectors) {
-    write_selector(json, selector);
-  }
-  json.end_array();
-  json.key("attackers");
-  json.begin_array();
-  for (const fault::AttackerMode mode : spec.attackers) {
-    json.value(fault::to_string(mode));
-  }
-  json.end_array();
-  json.key("senders");
-  json.begin_array();
-  for (const std::size_t senders : spec.senders) {
-    json.value(static_cast<std::uint64_t>(senders));
-  }
-  json.end_array();
-  json.key("duties");
-  json.begin_array();
-  for (const double duty : spec.duties) json.value(duty);
-  json.end_array();
-  json.key("density_models");
-  json.begin_array();
-  for (const core::DensityModelKind kind : spec.density_models) {
-    json.value(runner::to_string(kind));
-  }
-  json.end_array();
-  json.key("channels");
-  json.begin_array();
-  for (const std::string& channel : spec.channels) json.value(channel);
-  json.end_array();
-  json.key("loss_rates");
-  json.begin_array();
-  for (const double rate : spec.loss_rates) json.value(rate);
-  json.end_array();
-  json.end_object();
-}
-
-std::string encode_sweep_spec(const runner::SweepSpec& spec) {
-  util::JsonWriter json(/*pretty=*/false);
-  write_sweep_spec(json, spec);
-  return json.str();
-}
-
-util::Result<runner::SweepSpec, std::string> decode_sweep_spec(
-    const util::JsonValue& doc) {
-  if (!doc.is_object()) return std::string("spec: expected object");
-  runner::SweepSpec spec;
-  std::string err;
-  std::uint64_t trials = 0;
-  const util::JsonValue* id_bits = nullptr;
-  const util::JsonValue* selectors = nullptr;
-  const util::JsonValue* attackers = nullptr;
-  const util::JsonValue* senders = nullptr;
-  const util::JsonValue* duties = nullptr;
-  const util::JsonValue* density_models = nullptr;
-  const util::JsonValue* channels = nullptr;
-  const util::JsonValue* loss_rates = nullptr;
-  if (!get_str(doc, "name", spec.name, err) ||
-      !get_str(doc, "description", spec.description, err) ||
-      !get_u64(doc, "trials", trials, err) ||
-      !get_array(doc, "id_bits", id_bits, err) ||
-      !get_array(doc, "selectors", selectors, err) ||
-      !get_array(doc, "attackers", attackers, err) ||
-      !get_array(doc, "senders", senders, err) ||
-      !get_array(doc, "duties", duties, err) ||
-      !get_array(doc, "density_models", density_models, err) ||
-      !get_array(doc, "channels", channels, err) ||
-      !get_array(doc, "loss_rates", loss_rates, err)) {
-    return "spec: " + err;
-  }
-  spec.trials = static_cast<unsigned>(trials);
-  const util::JsonValue* base = doc.find("base");
-  if (base == nullptr) return std::string("spec: field \"base\": missing");
-  auto config = decode_config(*base);
-  if (!config.ok()) return "spec: " + config.error();
-  spec.base = std::move(config).value();
-  for (const util::JsonValue& v : id_bits->items()) {
-    if (!v.is_number()) return std::string("spec: id_bits: expected numbers");
-    spec.id_bits.push_back(static_cast<unsigned>(v.as_u64()));
-  }
-  for (const util::JsonValue& v : selectors->items()) {
-    core::SelectorSpec selector;
-    if (!decode_selector(v, selector, err)) {
-      return "spec: selectors: " + err;
-    }
-    spec.selectors.push_back(selector);
-  }
-  for (const util::JsonValue& v : attackers->items()) {
-    fault::AttackerMode mode = fault::AttackerMode::kOff;
-    if (!v.is_string() || !parse_attacker_mode(v.as_string(), mode)) {
-      return std::string("spec: attackers: unknown mode");
-    }
-    spec.attackers.push_back(mode);
-  }
-  for (const util::JsonValue& v : senders->items()) {
-    if (!v.is_number()) return std::string("spec: senders: expected numbers");
-    spec.senders.push_back(static_cast<std::size_t>(v.as_u64()));
-  }
-  for (const util::JsonValue& v : duties->items()) {
-    if (!v.is_number()) return std::string("spec: duties: expected numbers");
-    spec.duties.push_back(v.as_double());
-  }
-  for (const util::JsonValue& v : density_models->items()) {
-    core::DensityModelKind kind = core::DensityModelKind::kEwma;
-    if (!v.is_string() || !parse_density_model(v.as_string(), kind)) {
-      return std::string("spec: density_models: unknown model");
-    }
-    spec.density_models.push_back(kind);
-  }
-  for (const util::JsonValue& v : channels->items()) {
-    if (!v.is_string()) return std::string("spec: channels: expected strings");
-    spec.channels.push_back(v.as_string());
-  }
-  for (const util::JsonValue& v : loss_rates->items()) {
-    if (!v.is_number()) {
-      return std::string("spec: loss_rates: expected numbers");
-    }
-    spec.loss_rates.push_back(v.as_double());
-  }
-  return spec;
-}
-
-// --- Job checkpoints -------------------------------------------------------
-
-std::string spec_hash(const runner::SweepSpec& spec) {
-  // Same address space as cache keys (content hash of canonical JSON), so a
-  // checkpoint names exactly one grid and resubmission finds it by content.
-  return ResultCache::make_key(kCodeVersion, encode_sweep_spec(spec));
-}
-
-std::string encode_checkpoint(const JobCheckpoint& checkpoint) {
-  util::JsonWriter json(/*pretty=*/false);
-  json.begin_object();
-  json.member("schema", "retri.serve-checkpoint");
-  json.member("schema_version", 1);
-  json.member("spec_hash", checkpoint.spec_hash);
-  json.key("spec");
-  write_sweep_spec(json, checkpoint.spec);
-  json.key("done");
-  json.begin_array();
-  for (const std::uint64_t cell : checkpoint.done) json.value(cell);
-  json.end_array();
-  json.end_object();
-  return json.str();
-}
-
-util::Result<JobCheckpoint, std::string> decode_checkpoint(
-    std::string_view text) {
-  auto parsed = util::parse_json(text);
-  if (!parsed.ok()) return "checkpoint: " + parsed.error().describe();
-  const util::JsonValue& doc = parsed.value();
-  if (doc.str("schema") != "retri.serve-checkpoint" ||
-      doc.i64("schema_version") != 1) {
-    return std::string("checkpoint: unrecognized schema");
-  }
-  JobCheckpoint checkpoint;
-  std::string err;
-  const util::JsonValue* done = nullptr;
-  if (!get_str(doc, "spec_hash", checkpoint.spec_hash, err) ||
-      !get_array(doc, "done", done, err)) {
-    return "checkpoint: " + err;
-  }
-  const util::JsonValue* spec = doc.find("spec");
-  if (spec == nullptr) return std::string("checkpoint: field \"spec\": missing");
-  auto decoded = decode_sweep_spec(*spec);
-  if (!decoded.ok()) return "checkpoint: " + decoded.error();
-  checkpoint.spec = std::move(decoded).value();
-  for (const util::JsonValue& cell : done->items()) {
-    if (!cell.is_number()) {
-      return std::string("checkpoint: done: expected numbers");
-    }
-    checkpoint.done.push_back(cell.as_u64());
-  }
-  return checkpoint;
 }
 
 }  // namespace retri::serve

@@ -1,8 +1,8 @@
-// Exact JSON codecs for the serve subsystem's persisted/wired values.
+// Exact JSON codecs for the memo store's keys and bodies.
 //
-// Everything the daemon stores or streams — cache bodies, job checkpoints,
-// sweep submissions — round-trips through these functions, so they are held
-// to a stricter standard than the display-oriented ResultSink:
+// Every sweep-trial cache entry is keyed by canonical_cell() and stores an
+// encode_result() body, so these functions are held to a stricter standard
+// than the display-oriented ResultSink:
 //   - encode/decode is lossless for every field, including 64-bit seeds and
 //     nanosecond durations (serialized as integer ns, never floating
 //     seconds) and doubles (shortest-form to_chars, re-parsed exactly by
@@ -11,16 +11,16 @@
 //     rendering of one trial's full ExperimentConfig with the derived trial
 //     seed baked in. Two cells are byte-equal iff run_experiment would see
 //     identical inputs;
-//   - decoders are strict (Result-returning): a missing or wrong-kind field
-//     is an error, never a silent default, because a cache body that decodes
-//     "close enough" is exactly the stale-result bug the cache must not have.
+//   - decode_result is strict (Result-returning): a missing or wrong-kind
+//     field is an error, never a silent default, because a cache body that
+//     decodes "close enough" is exactly the stale-result bug the cache must
+//     not have.
 #pragma once
 
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "runner/sweep.hpp"
+#include "runner/experiment.hpp"
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
 #include "util/result.hpp"
@@ -36,9 +36,6 @@ void write_config(util::JsonWriter& json, const runner::ExperimentConfig& config
 /// substituted this is the canonical cell fed to ResultCache::make_key.
 std::string canonical_cell(const runner::ExperimentConfig& config);
 
-util::Result<runner::ExperimentConfig, std::string> decode_config(
-    const util::JsonValue& doc);
-
 // --- ExperimentResult ------------------------------------------------------
 
 void write_result(util::JsonWriter& json, const runner::ExperimentResult& result);
@@ -49,32 +46,5 @@ util::Result<runner::ExperimentResult, std::string> decode_result(
 /// Parse + decode in one step (cache bodies arrive as text).
 util::Result<runner::ExperimentResult, std::string> decode_result_text(
     std::string_view text);
-
-// --- SweepSpec -------------------------------------------------------------
-
-void write_sweep_spec(util::JsonWriter& json, const runner::SweepSpec& spec);
-std::string encode_sweep_spec(const runner::SweepSpec& spec);
-
-util::Result<runner::SweepSpec, std::string> decode_sweep_spec(
-    const util::JsonValue& doc);
-
-// --- Job checkpoints -------------------------------------------------------
-
-/// Progress record for one submitted sweep, durable across daemon restarts.
-/// `done` holds flattened cell indices (point * trials + trial) whose
-/// results are committed to the cache; a resumed job re-runs only the rest.
-struct JobCheckpoint {
-  std::string spec_hash;  // stable hash of the encoded spec (file name stem)
-  runner::SweepSpec spec;
-  std::vector<std::uint64_t> done;
-};
-
-std::string encode_checkpoint(const JobCheckpoint& checkpoint);
-util::Result<JobCheckpoint, std::string> decode_checkpoint(
-    std::string_view text);
-
-/// Stable content hash of an encoded sweep spec — names the checkpoint file
-/// and prefixes job ids, so resubmitting the same spec resumes its record.
-std::string spec_hash(const runner::SweepSpec& spec);
 
 }  // namespace retri::serve

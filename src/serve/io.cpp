@@ -1,16 +1,12 @@
 #include "serve/io.hpp"
 
 #include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-
-#include "util/wallclock.hpp"
 
 namespace retri::serve {
 
@@ -33,25 +29,6 @@ struct FdGuard {
 
 void crash(fault::IoFaultInjector* faults, std::string_view point) {
   if (faults != nullptr) faults->crash_point(point);
-}
-
-/// Blocks until `fd` is ready for `events` or the deadline passes.
-IoStatus wait_ready(int fd, short events, std::uint64_t deadline_at_ms) {
-  while (true) {
-    int timeout = -1;
-    if (deadline_at_ms != 0) {
-      const std::uint64_t now = util::monotonic_now_ms();
-      if (now >= deadline_at_ms) return IoStatus::kTimeout;
-      timeout = static_cast<int>(std::min<std::uint64_t>(
-          deadline_at_ms - now, 1u << 30));
-    }
-    pollfd pfd{fd, events, 0};
-    const int ready = ::poll(&pfd, 1, timeout);
-    if (ready > 0) return IoStatus::kOk;
-    if (ready == 0) return IoStatus::kTimeout;
-    if (errno == EINTR) continue;
-    return IoStatus::kError;
-  }
 }
 
 }  // namespace
@@ -128,83 +105,6 @@ util::Result<int, std::string> atomic_write_file(
       dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (dirfd.fd >= 0) ::fsync(dirfd.fd);
   return 0;
-}
-
-IoOutcome read_fd(int fd, char* buf, std::size_t cap,
-                  std::uint64_t deadline_at_ms, std::string_view op_key,
-                  std::uint64_t& ordinal, fault::IoFaultInjector* faults) {
-  IoOutcome out;
-  while (true) {
-    const IoStatus ready = wait_ready(fd, POLLIN, deadline_at_ms);
-    if (ready != IoStatus::kOk) {
-      out.status = ready;
-      out.err = ready == IoStatus::kError ? errno : 0;
-      return out;
-    }
-    const std::uint64_t op = ordinal++;
-    if (faults != nullptr) {
-      if (faults->inject_disconnect(op_key, op)) {
-        out.status = IoStatus::kError;
-        out.err = ECONNRESET;
-        return out;
-      }
-      if (faults->inject_eintr(op_key, op)) continue;
-    }
-    const std::size_t want =
-        faults != nullptr ? faults->clamp_read(op_key, op, cap) : cap;
-    const ssize_t n = ::read(fd, buf, want);
-    if (n > 0) {
-      out.bytes = static_cast<std::size_t>(n);
-      return out;
-    }
-    if (n == 0) {
-      out.status = IoStatus::kClosed;
-      return out;
-    }
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-    out.status = IoStatus::kError;
-    out.err = errno;
-    return out;
-  }
-}
-
-IoOutcome write_fd(int fd, std::string_view data,
-                   std::uint64_t deadline_at_ms, std::string_view op_key,
-                   std::uint64_t& ordinal, fault::IoFaultInjector* faults) {
-  IoOutcome out;
-  while (out.bytes < data.size()) {
-    const IoStatus ready = wait_ready(fd, POLLOUT, deadline_at_ms);
-    if (ready != IoStatus::kOk) {
-      out.status = ready;
-      out.err = ready == IoStatus::kError ? errno : 0;
-      return out;
-    }
-    const std::uint64_t op = ordinal++;
-    if (faults != nullptr) {
-      if (faults->inject_disconnect(op_key, op)) {
-        out.status = IoStatus::kError;
-        out.err = ECONNRESET;
-        return out;
-      }
-      if (faults->inject_eintr(op_key, op)) continue;
-    }
-    std::size_t want = std::min(data.size() - out.bytes, kWriteChunk);
-    if (faults != nullptr) want = faults->clamp_write(op_key, op, want);
-    // MSG_NOSIGNAL turns a dead-peer SIGPIPE into EPIPE; plain files are
-    // not sockets, so fall back to write() on ENOTSOCK.
-    ssize_t n = ::send(fd, data.data() + out.bytes, want, MSG_NOSIGNAL);
-    if (n < 0 && errno == ENOTSOCK) {
-      n = ::write(fd, data.data() + out.bytes, want);
-    }
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      out.status = errno == EPIPE ? IoStatus::kClosed : IoStatus::kError;
-      out.err = errno;
-      return out;
-    }
-    out.bytes += static_cast<std::size_t>(n);
-  }
-  return out;
 }
 
 }  // namespace retri::serve

@@ -1,33 +1,25 @@
-// Crash-safe file writes and fault-aware fd loops for the serve layer.
+// Crash-safe file writes for the serve layer.
 //
-// Every byte the serve subsystem persists or moves over a socket flows
-// through this file, for two reasons:
+// Every byte the memo store persists flows through atomic_write_file().
+// A bare `ofstream << body` store can be torn by a crash between the first
+// byte and the last, and a torn entry that still parses is exactly the
+// stale-result bug the cache exists to prevent. atomic_write_file() writes
+// a same-directory temp file, fsyncs it, rename()s over the target, and
+// fsyncs the directory — so a kill at ANY instant leaves either the old
+// file, the new file, or an orphaned `*.tmp` the next load quarantines.
+// The no-bare-ofstream-store lint rule bans every other write path under
+// src/serve; the open() calls here carry the tree's only allow() anchors.
 //
-//   1. Atomicity. A bare `ofstream << body` store can be torn by a crash
-//      between the first byte and the last, and a torn entry that still
-//      parses is exactly the stale-result bug the cache exists to prevent.
-//      atomic_write_file() writes a same-directory temp file, fsyncs it,
-//      rename()s over the target, and fsyncs the directory — so a kill at
-//      ANY instant leaves either the old file, the new file, or an
-//      orphaned `*.tmp` the next load quarantines. The no-bare-ofstream-
-//      store lint rule bans every other write path under src/serve; the
-//      open() calls here carry the tree's only allow() anchors.
-//
-//   2. Honesty about the syscall boundary. read()/write() return short
-//      counts and EINTR in normal operation; code that treats either as an
-//      error fails exactly when the host is busiest. read_fd()/write_fd()
-//      own those loops once, and route every opportunity through an
-//      optional fault::IoFaultInjector so tests and the serve_fault soak
-//      can replay a hostile kernel deterministically (injected faults are
-//      decided BEFORE the syscall and never touch real fds' data).
+// The write loop also owns EINTR and short writes once, and routes every
+// opportunity through an optional fault::IoFaultInjector so the cache
+// tests can replay a hostile kernel deterministically (injected faults are
+// decided BEFORE the syscall and never touch real fds' data).
 //
 // Crash points (fault::IoFaultInjector::crash_point) dot the atomic write
 // path between its steps; the crash-point cache tests arm each in turn and
-// audit the store a "restarted daemon" reloads.
+// audit the store a restarted process reloads.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -58,29 +50,5 @@ inline constexpr std::string_view kCrashPoints[] = {
 util::Result<int, std::string> atomic_write_file(
     const std::string& path, std::string_view contents,
     std::string_view op_key, fault::IoFaultInjector* faults);
-
-/// Outcome of one fd loop. kClosed is read-side EOF or a send on a dead
-/// peer; kTimeout only occurs when a deadline is passed in.
-enum class IoStatus { kOk, kClosed, kTimeout, kError };
-
-struct IoOutcome {
-  IoStatus status = IoStatus::kOk;
-  std::size_t bytes = 0;  // transferred before the status applied
-  int err = 0;            // errno snapshot for kError
-};
-
-/// Reads up to `cap` bytes into `buf`, looping over EINTR. Blocks until at
-/// least one byte (or EOF / error) unless `deadline_at_ms` is nonzero, in
-/// which case poll() bounds the wait against util::monotonic_now_ms().
-/// `ordinal` is a caller-maintained per-stream op counter for fault keying.
-IoOutcome read_fd(int fd, char* buf, std::size_t cap,
-                  std::uint64_t deadline_at_ms, std::string_view op_key,
-                  std::uint64_t& ordinal, fault::IoFaultInjector* faults);
-
-/// Writes all of `data`, looping over EINTR and short writes. Deadline
-/// semantics match read_fd.
-IoOutcome write_fd(int fd, std::string_view data,
-                   std::uint64_t deadline_at_ms, std::string_view op_key,
-                   std::uint64_t& ordinal, fault::IoFaultInjector* faults);
 
 }  // namespace retri::serve

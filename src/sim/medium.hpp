@@ -68,11 +68,6 @@ struct MediumStatsSnapshot {
   std::uint64_t fault_extra_deliveries = 0;
 };
 
-/// Deprecated spelling, kept as a thin alias for one PR while callers
-/// migrate to the snapshot name (and, for cross-layer analysis, to the
-/// registry's "medium.*" counters directly).
-using MediumStats = MediumStatsSnapshot;
-
 /// Delivery-path decorator hook (implemented by fault::FaultInjector).
 ///
 /// For each delivery that survived every native impairment (enabled, RF

@@ -24,9 +24,16 @@ class Duration {
   static constexpr Duration microseconds(std::int64_t us) { return Duration(us * 1'000); }
   static constexpr Duration milliseconds(std::int64_t ms) { return Duration(ms * 1'000'000); }
   static constexpr Duration seconds(std::int64_t s) { return Duration(s * 1'000'000'000); }
-  /// Fractional seconds, rounded to the nearest nanosecond.
+  /// Fractional seconds, rounded to the nearest nanosecond. `s` must be
+  /// finite with |s| * 1e9 below 2^63, or the conversion overflows.
   static constexpr Duration from_seconds(double s) {
     return Duration(static_cast<std::int64_t>(s * 1e9 + (s >= 0 ? 0.5 : -0.5)));
+  }
+  /// True when from_seconds(s) is a positive duration: `s` rounds to at
+  /// least 1 ns and its nanosecond count fits in int64. NaN and infinities
+  /// fail (NaN fails every comparison). CLI parsers check this first.
+  static constexpr bool fits_positive_seconds(double s) {
+    return s * 1e9 >= 0.5 && s * 1e9 < 0x1p63;
   }
 
   constexpr std::int64_t ns() const noexcept { return ns_; }

@@ -98,6 +98,29 @@ TEST(ParseArgs, RejectsNegativeAndZeroWhereMeaningless) {
   EXPECT_FALSE(parse({"--seconds", "0"}).ok);
 }
 
+TEST(ParseArgs, RejectsSecondsThatDoNotFitADuration) {
+  // nan, inf and huge values all parse as doubles, but would overflow
+  // sim::Duration::from_seconds and abort the run instead of failing the
+  // parse; a value under half a nanosecond would round to a zero duration.
+  for (const char* bad : {"nan", "-nan", "inf", "-inf", "infinity", "1e300",
+                          "1e10", "9.3e9", "1e-12"}) {
+    const auto outcome = parse({"--seconds", bad});
+    EXPECT_FALSE(outcome.ok) << bad;
+    EXPECT_NE(outcome.error.find("--seconds"), std::string::npos) << bad;
+  }
+  // The largest and smallest accepted values still convert exactly.
+  EXPECT_TRUE(parse({"--seconds", "9.2e9"}).ok);
+  EXPECT_TRUE(parse({"--seconds", "1e-9"}).ok);
+}
+
+TEST(ParseArgs, CacheTakesADirectory) {
+  const auto outcome = parse({"--sweep", "fig4", "--cache", "memo"});
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  EXPECT_EQ(outcome.args.cache, "memo");
+  EXPECT_FALSE(parse({"--cache"}).ok);
+  EXPECT_FALSE(parse({"--cache", ""}).ok);
+}
+
 TEST(ParseArgs, ErrorNamesTheOffendingValue) {
   const auto outcome = parse({"--jobs", "many"});
   EXPECT_FALSE(outcome.ok);

@@ -15,7 +15,8 @@ struct Node {
   Node(sim::BroadcastMedium& medium, sim::NodeId id, AffDriverConfig config,
        std::string_view policy = "uniform")
       : radio(medium, id, radio::RadioConfig{}, radio::EnergyModel{}, 1000 + id),
-        selector(core::make_selector(policy, core::IdSpace(config.wire.id_bits),
+        selector(core::make_selector(core::parse_selector_spec(policy).value(),
+                                     core::IdSpace(config.wire.id_bits),
                                      2000 + id)),
         driver(radio, *selector, config, id) {
     driver.set_packet_handler(

@@ -128,7 +128,7 @@ TEST(FaultInjector, BurstLossConvergesToStationaryAverage) {
   const int n = 40000;
   for (int i = 0; i < n; ++i) (void)injector.intercept(1, 0, payload);
 
-  const FaultStats& stats = injector.stats();
+  const FaultStatsSnapshot& stats = injector.stats();
   EXPECT_EQ(stats.intercepted, static_cast<std::uint64_t>(n));
   EXPECT_EQ(stats.intercepted, stats.dropped_burst + stats.forwarded);
   const double observed =

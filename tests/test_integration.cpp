@@ -56,8 +56,9 @@ ValidationOutcome run_validation(unsigned id_bits, std::string_view policy,
   Stack receiver;
   receiver.radio = std::make_unique<radio::Radio>(
       medium, 0, radio_config, radio::EnergyModel{}, seed * 31);
+  const core::SelectorSpec spec = core::parse_selector_spec(policy).value();
   receiver.selector =
-      core::make_selector(policy, core::IdSpace(id_bits), seed * 37);
+      core::make_selector(spec, core::IdSpace(id_bits), seed * 37);
   receiver.driver = std::make_unique<aff::AffDriver>(
       *receiver.radio, *receiver.selector, config, 0);
 
@@ -67,7 +68,7 @@ ValidationOutcome run_validation(unsigned id_bits, std::string_view policy,
     tx[i].radio = std::make_unique<radio::Radio>(
         medium, node, radio_config, radio::EnergyModel{}, seed * 41 + node);
     tx[i].selector =
-        core::make_selector(policy, core::IdSpace(id_bits), seed * 43 + node);
+        core::make_selector(spec, core::IdSpace(id_bits), seed * 43 + node);
     tx[i].driver = std::make_unique<aff::AffDriver>(*tx[i].radio,
                                                     *tx[i].selector, config,
                                                     node);
@@ -196,7 +197,8 @@ TEST(Integration, HiddenTerminalsDefeatListening) {
       radios.push_back(std::make_unique<radio::Radio>(
           medium, node, radio_config, radio::EnergyModel{}, seed + 10 + node));
       selectors.push_back(
-          core::make_selector("listening", core::IdSpace(2), seed + 20 + node));
+          core::make_selector(core::parse_selector_spec("listening").value(),
+                              core::IdSpace(2), seed + 20 + node));
       drivers.push_back(std::make_unique<aff::AffDriver>(
           *radios.back(), *selectors.back(), config, node));
       sources.push_back(std::make_unique<apps::TrafficSource>(

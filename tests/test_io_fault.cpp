@@ -1,8 +1,7 @@
 // fault::IoFaultInjector: decisions must be pure functions of
 // (plan, op key, ordinal) — never of call order or thread interleaving —
-// because serve I/O runs on pool workers and the serve-fault soak audits a
-// jobs-invariant fingerprint. Also covers crash-point arming and the
-// soak's random_io_plan contract.
+// so a seeded fault schedule replays exactly. Also covers crash-point
+// arming.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,8 +20,6 @@ fault::IoFaultPlan all_families_plan() {
   plan.short_write_prob = 0.5;
   plan.eintr_prob = 0.5;
   plan.enospc_prob = 0.5;
-  plan.partial_read_prob = 0.5;
-  plan.disconnect_prob = 0.5;
   return plan;
 }
 
@@ -41,7 +38,7 @@ TEST(IoFaultPlan, ValidatedRejectsOutOfRangeProbability) {
 TEST(IoFaultInjector, DecisionsIgnoreCallOrder) {
   // Two injectors with the same plan+seed, interrogated in opposite orders
   // and with unrelated ops interleaved, must agree on every decision. This
-  // is the property that makes the soak fingerprint jobs-invariant.
+  // is the property that makes a seeded fault schedule replayable.
   const fault::IoFaultPlan plan = all_families_plan();
   fault::IoFaultInjector a(plan, 42);
   fault::IoFaultInjector b(plan, 42);
@@ -52,7 +49,7 @@ TEST(IoFaultInjector, DecisionsIgnoreCallOrder) {
   };
   std::vector<Probe> probes;
   for (std::uint64_t i = 0; i < 32; ++i) {
-    probes.push_back({"serve.client", i});
+    probes.push_back({"store-op", i});
     probes.push_back({"cache-key-" + std::to_string(i % 5), i});
   }
 
@@ -64,7 +61,7 @@ TEST(IoFaultInjector, DecisionsIgnoreCallOrder) {
     a_eintr.push_back(a.inject_eintr(p.op, p.ordinal));
   }
   for (auto it = probes.rbegin(); it != probes.rend(); ++it) {
-    (void)b.inject_disconnect("noise", it->ordinal);  // unrelated family+op
+    (void)b.inject_enospc("noise-" + std::to_string(it->ordinal));  // unrelated
     b_writes.push_back(b.clamp_write(it->op, it->ordinal, 4096));
     b_eintr.push_back(b.inject_eintr(it->op, it->ordinal));
   }
@@ -81,7 +78,7 @@ TEST(IoFaultInjector, FamiliesAreIndependent) {
   quiet.short_write_prob = 0.5;
   fault::IoFaultPlan noisy = quiet;
   noisy.eintr_prob = 1.0;
-  noisy.disconnect_prob = 0.3;
+  noisy.enospc_prob = 0.3;
 
   fault::IoFaultInjector a(quiet, 7);
   fault::IoFaultInjector b(noisy, 7);
@@ -94,18 +91,17 @@ TEST(IoFaultInjector, FamiliesAreIndependent) {
 TEST(IoFaultInjector, ClampsTransferAtLeastOneByte) {
   fault::IoFaultPlan plan;
   plan.short_write_prob = 1.0;
-  plan.partial_read_prob = 1.0;
   fault::IoFaultInjector injector(plan, 3);
+  bool shortened = false;
   for (std::uint64_t i = 0; i < 64; ++i) {
     const std::size_t w = injector.clamp_write("w", i, 100);
-    const std::size_t r = injector.clamp_read("r", i, 100);
     EXPECT_GE(w, 1u);
     EXPECT_LE(w, 100u);
-    EXPECT_GE(r, 1u);
-    EXPECT_LE(r, 100u);
+    shortened = shortened || w < 100;
   }
+  EXPECT_TRUE(shortened);
   // A zero-byte opportunity stays zero (nothing to truncate).
-  EXPECT_EQ(injector.clamp_read("r", 0, 0), 0u);
+  EXPECT_EQ(injector.clamp_write("w", 0, 0), 0u);
 }
 
 TEST(IoFaultInjector, EnospcIsKeyedByOpAlone) {
@@ -152,17 +148,4 @@ TEST(IoFaultInjector, UnarmedCrashPointsOnlyCount) {
     EXPECT_NO_THROW(injector.crash_point("serve.io.renamed"));
   }
   EXPECT_EQ(injector.stats().crash_point_visits, 5u);
-}
-
-TEST(IoFaultInjector, RandomPlanIsSeededAndNeverArmsCrash) {
-  for (std::uint64_t seed = 0; seed < 32; ++seed) {
-    const fault::IoFaultPlan plan = fault::random_io_plan(seed);
-    EXPECT_TRUE(plan.crash_at.empty()) << "seed " << seed;
-    const fault::IoFaultPlan again = fault::random_io_plan(seed);
-    EXPECT_EQ(plan.describe(), again.describe()) << "seed " << seed;
-    EXPECT_NO_THROW((void)fault::validated(plan)) << "seed " << seed;
-  }
-  // Different seeds produce different plans somewhere in 32 tries.
-  EXPECT_NE(fault::random_io_plan(1).describe(),
-            fault::random_io_plan(2).describe());
 }

@@ -625,7 +625,7 @@ TEST(LintSelectorPolicy, RegistryTuAndOutOfScopePathsAreExempt) {
   // The registry TU is the one sanctioned home for the spellings.
   EXPECT_FALSE(has_violation(scan("src/core/selector.cpp", body),
                              "no-raw-selector-policy"));
-  // tests/ and examples/ drive the string shim legitimately.
+  // tests/ and examples/ name policies legitimately (parse_selector_spec).
   EXPECT_FALSE(has_violation(scan("tests/test_thing.cpp", body),
                              "no-raw-selector-policy"));
   EXPECT_FALSE(has_violation(scan("examples/vehicle_tracking.cpp", body),

@@ -233,7 +233,7 @@ TEST_F(MediumTest, InterceptorDropCountsAsLostFault) {
   medium.transmit(0, {0x01}, Duration::milliseconds(1));
   sim.run();
   EXPECT_TRUE(rx1.empty());
-  const MediumStats& stats = medium.stats();
+  const MediumStatsSnapshot& stats = medium.stats();
   EXPECT_EQ(stats.deliveries_attempted, 1u);
   EXPECT_EQ(stats.lost_fault, 1u);
   EXPECT_EQ(stats.delivered, 0u);
@@ -250,7 +250,7 @@ TEST_F(MediumTest, InterceptorDuplicationCountsExtraDeliveries) {
   medium.transmit(0, {0x01, 0x02}, Duration::milliseconds(1));
   sim.run();
   EXPECT_EQ(rx1.size(), 3u);
-  const MediumStats& stats = medium.stats();
+  const MediumStatsSnapshot& stats = medium.stats();
   EXPECT_EQ(stats.deliveries_attempted, 1u);
   EXPECT_EQ(stats.fault_extra_deliveries, 2u);
   EXPECT_EQ(stats.delivered, 3u);
@@ -292,7 +292,7 @@ TEST_F(MediumTest, DelayedCopyToNodeDisabledInFlightIsLostDisabled) {
                   [&medium]() { medium.set_enabled(1, false); });
   sim.run();
   EXPECT_TRUE(rx1.empty());
-  const MediumStats& stats = medium.stats();
+  const MediumStatsSnapshot& stats = medium.stats();
   EXPECT_EQ(stats.delivered, 0u);
   EXPECT_EQ(stats.lost_disabled, 1u);
   EXPECT_EQ(stats.deliveries_attempted + stats.fault_extra_deliveries,

@@ -242,7 +242,7 @@ TEST_F(ReassemblerTest, AcceptedFragmentsPartitionLaw) {
   reasm.on_data(3, 0, util::Bytes{1, 2}, at_ms(2)); // orphan (no intro)
   reasm.on_data(4, 0, {}, at_ms(3));                // malformed (empty)
 
-  const ReassemblerStats& stats = reasm.stats();
+  const ReassemblerStatsSnapshot& stats = reasm.stats();
   EXPECT_EQ(stats.fragments_seen, 6u);
   EXPECT_EQ(stats.accepted_fragments, 3u);
   EXPECT_EQ(stats.malformed, 2u);

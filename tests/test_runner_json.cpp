@@ -1,12 +1,12 @@
-// runner::JsonWriter — the hand-rolled emitter behind BENCH_*.json.
+// util::JsonWriter — the hand-rolled emitter behind BENCH_*.json.
 #include <cmath>
 #include <limits>
 
 #include <gtest/gtest.h>
 
-#include "runner/json.hpp"
+#include "util/json.hpp"
 
-using retri::runner::JsonWriter;
+using retri::util::JsonWriter;
 
 TEST(JsonWriter, CompactObject) {
   JsonWriter json;

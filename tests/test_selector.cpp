@@ -196,15 +196,17 @@ TEST(ListeningSelector, NameIsThePolicyFamilyOnly) {
 
 TEST(MakeSelector, BuildsEachPolicy) {
   const IdSpace space(8);
-  EXPECT_EQ(make_selector("uniform", space, 1)->name(), "uniform");
-  EXPECT_EQ(make_selector("listening", space, 1)->name(), "listening");
-  EXPECT_EQ(make_selector("listening+notify", space, 1)->name(), "listening");
-  EXPECT_EQ(make_selector("counter", space, 1)->name(), "counter");
-  EXPECT_EQ(make_selector("hashed_counter", space, 1)->name(),
-            "hashed_counter");
-  EXPECT_EQ(make_selector("permutation", space, 1)->name(), "permutation");
-  EXPECT_EQ(make_selector("hybrid", space, 1)->name(), "hybrid");
-  EXPECT_THROW((void)make_selector("bogus", space, 1), std::invalid_argument);
+  const auto build = [&](std::string_view name) {
+    return make_selector(parse_selector_spec(name).value(), space, 1);
+  };
+  EXPECT_EQ(build("uniform")->name(), "uniform");
+  EXPECT_EQ(build("listening")->name(), "listening");
+  EXPECT_EQ(build("listening+notify")->name(), "listening");
+  EXPECT_EQ(build("counter")->name(), "counter");
+  EXPECT_EQ(build("hashed_counter")->name(), "hashed_counter");
+  EXPECT_EQ(build("permutation")->name(), "permutation");
+  EXPECT_EQ(build("hybrid")->name(), "hybrid");
+  EXPECT_FALSE(parse_selector_spec("bogus").ok());
 }
 
 TEST(MakeSelector, UnknownNameErrorListsEveryPolicy) {

@@ -2,9 +2,8 @@
 //
 // The statistical and structural guarantees each policy advertises:
 // chi-square uniformity for the memoryless policies, zero self-collision
-// within one period for the permutation walk, avoid-set respect for the
-// hybrid, and the SelectorSpec-vs-string differential identity the legacy
-// shim promises. Lives in its own binary so scripts/check.sh can run
+// within one period for the permutation walk, and avoid-set respect for
+// the hybrid. Lives in its own binary so scripts/check.sh can run
 // `ctest -L selector` next to the attacker soak.
 #include "core/selector.hpp"
 
@@ -215,27 +214,6 @@ TEST(SelectorSpecApi, ValidatedRejectsBadListeningParameters) {
   EXPECT_THROW((void)validated(spec), std::invalid_argument);
 
   EXPECT_NO_THROW((void)validated(hybrid_selector(1234)));
-}
-
-TEST(SelectorSpecApi, DifferentialStringShimIsBitIdenticalToSpecPath) {
-  // The legacy string factory must be the spec path with a parse in front:
-  // for every registry name, the string-built and spec-built selectors walk
-  // identical sequences from identical seeds. This is the contract that
-  // keeps the golden fingerprints frozen across the API migration.
-  const IdSpace space(6);
-  for (const std::string_view name : named_selectors()) {
-    const auto spec = parse_selector_spec(name);
-    ASSERT_TRUE(spec.ok()) << name;
-    for (const std::uint64_t seed : {1ull, 42ull, 0xdeadbeefull}) {
-      const auto via_string = make_selector(name, space, seed);
-      const auto via_spec = make_selector(spec.value(), space, seed);
-      EXPECT_EQ(via_string->name(), via_spec->name()) << name;
-      for (int i = 0; i < 512; ++i) {
-        ASSERT_EQ(via_string->select(), via_spec->select())
-            << name << " seed=" << seed << " draw=" << i;
-      }
-    }
-  }
 }
 
 TEST(SelectorSpecApi, SpecParametersReachTheSelector) {

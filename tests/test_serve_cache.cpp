@@ -1,9 +1,11 @@
 // serve::ResultCache edge cases: LRU order under a byte budget, corruption
 // detection (tampered files must never be served), and restart reload of
 // the on-disk store. Bodies here are plain tokens, not real trial JSON —
-// the cache is content-agnostic; semantic verification is the server's job.
+// the cache is content-agnostic; semantic verification is serve::memoize's
+// job.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -11,7 +13,6 @@
 #include <string_view>
 
 #include "fault/io_fault.hpp"
-#include "obs/metrics.hpp"
 #include "serve/cache.hpp"
 #include "serve/io.hpp"
 
@@ -36,41 +37,34 @@ class ServeCacheTest : public ::testing::Test {
     return std::string(bytes, fill);
   }
 
+  static std::uint64_t counter(const serve::ResultCache& cache,
+                               std::string_view name) {
+    return cache.metrics().snapshot().counter(name);
+  }
+
   fs::path dir_;
 };
 
 }  // namespace
 
-TEST_F(ServeCacheTest, GetIsMeteredContainsIsNot) {
-  retri::obs::MetricsRegistry metrics;
-  serve::CacheOptions options;
-  options.metrics = &metrics;
-  serve::ResultCache cache(options);
+TEST_F(ServeCacheTest, GetIsMetered) {
+  serve::ResultCache cache(serve::CacheOptions{});
 
-  EXPECT_FALSE(cache.contains("k"));
   EXPECT_FALSE(cache.get("k").has_value());
   cache.put("k", "kind", "fp", "body");
-  EXPECT_TRUE(cache.contains("k"));
   const auto entry = cache.get("k");
   ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(entry->kind, "kind");
   EXPECT_EQ(entry->fingerprint, "fp");
   EXPECT_EQ(entry->body, "body");
 
-  const auto snapshot = metrics.snapshot();
-  EXPECT_EQ(snapshot.counter("serve.cache.hit"), 1u);
-  EXPECT_EQ(snapshot.counter("serve.cache.miss"), 1u);
-  // contains() probes (2 calls above) must not have counted as anything.
-  EXPECT_EQ(snapshot.counter("serve.cache.hit") +
-                snapshot.counter("serve.cache.miss"),
-            2u);
+  EXPECT_EQ(counter(cache, "serve.cache.hit"), 1u);
+  EXPECT_EQ(counter(cache, "serve.cache.miss"), 1u);
 }
 
 TEST_F(ServeCacheTest, LruEvictionOrderUnderByteBudget) {
-  retri::obs::MetricsRegistry metrics;
   serve::CacheOptions options;
   options.byte_budget = 100;
-  options.metrics = &metrics;
   serve::ResultCache cache(options);
 
   cache.put("a", "k", "fa", body_of(40, 'a'));
@@ -80,25 +74,23 @@ TEST_F(ServeCacheTest, LruEvictionOrderUnderByteBudget) {
 
   // 120 bytes against a 100-byte budget: the LRU entry — b, because a was
   // refreshed — must be the one evicted.
-  EXPECT_TRUE(cache.contains("a"));
-  EXPECT_FALSE(cache.contains("b"));
-  EXPECT_TRUE(cache.contains("c"));
   EXPECT_EQ(cache.entries(), 2u);
   EXPECT_EQ(cache.bytes(), 80u);
-  EXPECT_EQ(metrics.snapshot().counter("serve.cache.evict"), 1u);
+  EXPECT_EQ(counter(cache, "serve.cache.evict"), 1u);
+  EXPECT_TRUE(cache.get("a").has_value());
+  EXPECT_FALSE(cache.get("b").has_value());
+  EXPECT_TRUE(cache.get("c").has_value());
 }
 
 TEST_F(ServeCacheTest, BodyLargerThanBudgetIsRejectedOutright) {
-  retri::obs::MetricsRegistry metrics;
   serve::CacheOptions options;
   options.byte_budget = 10;
-  options.metrics = &metrics;
   serve::ResultCache cache(options);
 
   cache.put("big", "k", "f", body_of(11, 'x'));
-  EXPECT_FALSE(cache.contains("big"));
   EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(metrics.snapshot().counter("serve.cache.rejected"), 1u);
+  EXPECT_EQ(counter(cache, "serve.cache.rejected"), 1u);
+  EXPECT_FALSE(cache.get("big").has_value());
 }
 
 TEST_F(ServeCacheTest, RestartReloadsTheOnDiskStore) {
@@ -150,14 +142,11 @@ TEST_F(ServeCacheTest, TamperedEntryIsRejectedAndQuarantined) {
     out << text;
   }
 
-  retri::obs::MetricsRegistry metrics;
-  serve::CacheOptions reopen = options;
-  reopen.metrics = &metrics;
-  serve::ResultCache reloaded(reopen);
-  EXPECT_FALSE(reloaded.contains("feed"));
-  EXPECT_TRUE(reloaded.contains("f00d"));
+  serve::ResultCache reloaded(options);
   EXPECT_FALSE(fs::exists(victim));  // quarantined by deletion
-  EXPECT_EQ(metrics.snapshot().counter("serve.cache.corrupt"), 1u);
+  EXPECT_EQ(counter(reloaded, "serve.cache.corrupt"), 1u);
+  EXPECT_FALSE(reloaded.get("feed").has_value());
+  EXPECT_TRUE(reloaded.get("f00d").has_value());
 }
 
 TEST_F(ServeCacheTest, ForeignFileIsQuarantinedOnLoad) {
@@ -180,7 +169,7 @@ TEST_F(ServeCacheTest, InvalidateRemovesMemoryAndDisk) {
   cache.put("gone", "k", "f", "body");
   ASSERT_TRUE(fs::exists(dir_ / "gone.json"));
   cache.invalidate("gone");
-  EXPECT_FALSE(cache.contains("gone"));
+  EXPECT_EQ(cache.entries(), 0u);
   EXPECT_FALSE(fs::exists(dir_ / "gone.json"));
 }
 
@@ -249,7 +238,7 @@ TEST_F(ServeCacheTest, CrashAtEveryPointNeverTearsTheStore) {
                    retri::fault::CrashPointHit);
     }
 
-    // The restarted daemon.
+    // The restarted process.
     serve::CacheOptions options;
     options.dir = dir_.string();
     serve::ResultCache reloaded(options);
@@ -273,7 +262,8 @@ TEST_F(ServeCacheTest, CrashAtEveryPointNeverTearsTheStore) {
     // the open, so even "tmp_open" leaves an empty one); the rename itself
     // moves it away.
     const bool tmp_was_left = point != "serve.io.renamed";
-    EXPECT_EQ(reloaded.quarantined(), tmp_was_left ? 1u : 0u);
+    EXPECT_EQ(counter(reloaded, "serve.cache.quarantined"),
+              tmp_was_left ? 1u : 0u);
   }
 }
 
@@ -288,12 +278,12 @@ TEST_F(ServeCacheTest, InjectedEnospcKeepsEntryMemoryOnly) {
   cache.put("k", "kind", "fp", "body");
   // The put itself succeeds in memory; the persist failure is metered and
   // the torn tmp is invisible under the final name.
-  EXPECT_TRUE(cache.contains("k"));
+  EXPECT_EQ(cache.entries(), 1u);
   EXPECT_FALSE(fs::exists(dir_ / "k.json"));
 
   // A restart misses (the entry was never durable) and quarantines the
   // torn tmp the failed write left behind.
   serve::ResultCache reloaded(serve::CacheOptions{dir_.string()});
-  EXPECT_FALSE(reloaded.contains("k"));
-  EXPECT_EQ(reloaded.quarantined(), 1u);
+  EXPECT_EQ(counter(reloaded, "serve.cache.quarantined"), 1u);
+  EXPECT_FALSE(reloaded.get("k").has_value());
 }

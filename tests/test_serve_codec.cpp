@@ -1,7 +1,8 @@
-// serve codec round-trips: every value the daemon persists or streams must
-// survive encode → parse → decode → re-encode byte-identically, including
-// 64-bit seeds and nanosecond durations. Byte-comparing the re-encoding is
-// the strongest equality available and is exactly the property the cache's
+// serve codec: the canonical cell must carry every config field exactly
+// (64-bit seeds, nanosecond durations), and every result body the memo
+// store persists must survive encode → parse → decode → re-encode
+// byte-identically. Byte-comparing the re-encoding is the strongest
+// equality available and is exactly the property the cache's
 // bit-identical-serving guarantee rests on.
 #include <gtest/gtest.h>
 
@@ -10,10 +11,7 @@
 
 #include "obs/metrics.hpp"
 #include "runner/experiment.hpp"
-#include "runner/sweep.hpp"
 #include "serve/codec.hpp"
-#include "serve/protocol.hpp"
-#include "serve/server.hpp"
 #include "sim/time.hpp"
 #include "util/json_parse.hpp"
 
@@ -78,41 +76,38 @@ runner::ExperimentResult gnarly_result() {
   return result;
 }
 
-runner::SweepSpec gnarly_spec() {
-  runner::SweepSpec spec;
-  spec.name = "codec-roundtrip";
-  spec.description = "every axis populated";
-  spec.trials = 3;
-  spec.base = gnarly_config();
-  spec.id_bits = {2, 4, 8};
-  spec.selectors = {retri::core::uniform_selector(),
-                    retri::core::hybrid_selector(31)};
-  spec.attackers = {retri::fault::AttackerMode::kOff,
-                    retri::fault::AttackerMode::kBlindFlood};
-  spec.senders = {2, 5};
-  spec.duties = {0.25, 1.0};
-  spec.density_models = {retri::core::DensityModelKind::kEwma,
-                         retri::core::DensityModelKind::kInstantaneous};
-  spec.channels = {"independent", "chaos"};
-  spec.loss_rates = {0.0, 0.3};
-  return spec;
-}
-
 }  // namespace
 
 TEST(ServeCodec, ConfigRoundTripsByteIdentically) {
+  // The cell is the cache-key input, so every field must come back out of
+  // it exactly: a value rounded on the way in would alias two configs.
   const runner::ExperimentConfig config = gnarly_config();
   const std::string cell = serve::canonical_cell(config);
+  EXPECT_EQ(serve::canonical_cell(config), cell);  // pure function
 
   const auto doc = util::parse_json(cell);
   ASSERT_TRUE(doc.ok());
-  const auto decoded = serve::decode_config(doc.value());
-  ASSERT_TRUE(decoded.ok()) << decoded.error();
-  EXPECT_EQ(serve::canonical_cell(decoded.value()), cell);
-  EXPECT_EQ(decoded.value().seed, config.seed);
-  EXPECT_EQ(decoded.value().send_duration.ns(), config.send_duration.ns());
-  EXPECT_EQ(decoded.value().per_sender_packet_bytes,
-            config.per_sender_packet_bytes);
+  const util::JsonValue& v = doc.value();
+  EXPECT_EQ(v.u64("seed"), config.seed);
+  EXPECT_EQ(v.i64("send_ns"), config.send_duration.ns());
+  EXPECT_EQ(v.i64("drain_ns"), config.drain_extra.ns());
+  EXPECT_EQ(v.u64("id_bits"), config.id_bits);
+  EXPECT_EQ(v.str("channel"), config.channel);
+  const util::JsonValue* per_sender = v.find("per_sender_packet_bytes");
+  ASSERT_NE(per_sender, nullptr);
+  ASSERT_EQ(per_sender->size(), config.per_sender_packet_bytes.size());
+  for (std::size_t i = 0; i < per_sender->size(); ++i) {
+    EXPECT_EQ((*per_sender)[i].as_u64(), config.per_sender_packet_bytes[i]);
+  }
+  const util::JsonValue* selector = v.find("selector");
+  ASSERT_NE(selector, nullptr);
+  EXPECT_EQ(selector->u64("counter_salt"), config.selector.counter_salt);
+  EXPECT_EQ(selector->u64("permutation_period"),
+            config.selector.permutation_period);
+  const util::JsonValue* attacker = v.find("attacker");
+  ASSERT_NE(attacker, nullptr);
+  EXPECT_EQ(attacker->i64("flood_interval_ns"),
+            config.attacker.flood_interval.ns());
 }
 
 TEST(ServeCodec, CanonicalCellChangesWithTheSeed) {
@@ -122,28 +117,6 @@ TEST(ServeCodec, CanonicalCellChangesWithTheSeed) {
   EXPECT_NE(serve::canonical_cell(config), cell);
 }
 
-TEST(ServeCodec, ConfigDecodeIsStrict) {
-  // Removing any field must fail with an error naming the field — a cache
-  // body that decodes "close enough" is a stale-result bug.
-  const auto doc = util::parse_json(R"({"senders":5,"topology":"nowhere"})");
-  ASSERT_TRUE(doc.ok());
-  const auto missing = serve::decode_config(doc.value());
-  ASSERT_FALSE(missing.ok());
-  // The nested selector object is decoded first, so it is named first.
-  EXPECT_NE(missing.error().find("selector"), std::string::npos);
-
-  // With the nested objects present, a missing scalar is still named.
-  std::string body = serve::canonical_cell(gnarly_config());
-  const std::size_t at = body.find("\"id_bits\"");
-  ASSERT_NE(at, std::string::npos);
-  body.erase(at, body.find(',', at) - at + 1);
-  const auto redoc = util::parse_json(body);
-  ASSERT_TRUE(redoc.ok());
-  const auto scalar = serve::decode_config(redoc.value());
-  ASSERT_FALSE(scalar.ok());
-  EXPECT_NE(scalar.error().find("id_bits"), std::string::npos);
-}
-
 TEST(ServeCodec, ResultRoundTripsByteIdentically) {
   const runner::ExperimentResult result = gnarly_result();
   const std::string body = serve::encode_result(result);
@@ -151,7 +124,7 @@ TEST(ServeCodec, ResultRoundTripsByteIdentically) {
   const auto decoded = serve::decode_result_text(body);
   ASSERT_TRUE(decoded.ok()) << decoded.error();
   EXPECT_EQ(serve::encode_result(decoded.value()), body);
-  // The fingerprint — what the server re-derives on every hit — must be
+  // The fingerprint — what serve::memoize re-derives on every hit — must be
   // preserved exactly through the codec.
   EXPECT_EQ(runner::fingerprint(decoded.value()), runner::fingerprint(result));
   EXPECT_EQ(decoded.value().metrics, result.metrics);
@@ -162,150 +135,4 @@ TEST(ServeCodec, ResultDecodeRejectsTruncatedBodies) {
   const std::string body = serve::encode_result(gnarly_result());
   EXPECT_FALSE(serve::decode_result_text(body.substr(0, body.size() / 2)).ok());
   EXPECT_FALSE(serve::decode_result_text("{}").ok());
-}
-
-TEST(ServeCodec, SweepSpecRoundTripsByteIdentically) {
-  const runner::SweepSpec spec = gnarly_spec();
-  const std::string encoded = serve::encode_sweep_spec(spec);
-
-  const auto doc = util::parse_json(encoded);
-  ASSERT_TRUE(doc.ok());
-  const auto decoded = serve::decode_sweep_spec(doc.value());
-  ASSERT_TRUE(decoded.ok()) << decoded.error();
-  EXPECT_EQ(serve::encode_sweep_spec(decoded.value()), encoded);
-  EXPECT_EQ(decoded.value().point_count(), spec.point_count());
-  EXPECT_EQ(decoded.value().base.seed, spec.base.seed);
-}
-
-TEST(ServeCodec, CheckpointRoundTripsAndHashesStably) {
-  serve::JobCheckpoint checkpoint;
-  checkpoint.spec = gnarly_spec();
-  checkpoint.spec_hash = serve::spec_hash(checkpoint.spec);
-  checkpoint.done = {0, 3, 17, 40};
-
-  const std::string encoded = serve::encode_checkpoint(checkpoint);
-  const auto decoded = serve::decode_checkpoint(encoded);
-  ASSERT_TRUE(decoded.ok()) << decoded.error();
-  EXPECT_EQ(decoded.value().spec_hash, checkpoint.spec_hash);
-  EXPECT_EQ(decoded.value().done, checkpoint.done);
-  // Re-encoding the decode must reproduce the bytes — the full structural
-  // round-trip, spec included.
-  EXPECT_EQ(serve::encode_checkpoint(decoded.value()), encoded);
-
-  // The hash is a pure function of the spec's content.
-  EXPECT_EQ(serve::spec_hash(decoded.value().spec), checkpoint.spec_hash);
-  runner::SweepSpec other = gnarly_spec();
-  other.trials += 1;
-  EXPECT_NE(serve::spec_hash(other), checkpoint.spec_hash);
-
-  EXPECT_FALSE(serve::decode_checkpoint("not json").ok());
-  EXPECT_FALSE(serve::decode_checkpoint(R"({"schema":"wrong"})").ok());
-}
-
-TEST(ServeProtocol, RequestAndResponseBodiesRoundTrip) {
-  // submit
-  const runner::SweepSpec spec = gnarly_spec();
-  const auto submit = util::parse_json(serve::encode_submit(spec));
-  ASSERT_TRUE(submit.ok());
-  EXPECT_EQ(serve::message_type(submit.value()), "submit");
-  const util::JsonValue* wired = submit.value().find("spec");
-  ASSERT_NE(wired, nullptr);
-  const auto respec = serve::decode_sweep_spec(*wired);
-  ASSERT_TRUE(respec.ok()) << respec.error();
-  EXPECT_EQ(serve::encode_sweep_spec(respec.value()),
-            serve::encode_sweep_spec(spec));
-
-  // status / shutdown request types
-  const auto status_req = util::parse_json(serve::encode_status_request());
-  ASSERT_TRUE(status_req.ok());
-  EXPECT_EQ(serve::message_type(status_req.value()), "status");
-  const auto shutdown = util::parse_json(serve::encode_shutdown());
-  ASSERT_TRUE(shutdown.ok());
-  EXPECT_EQ(serve::message_type(shutdown.value()), "shutdown");
-
-  // accepted
-  serve::Submitted submitted{"abcdef123456-1", 4, 3, 12};
-  const auto accepted = util::parse_json(serve::encode_accepted(submitted));
-  ASSERT_TRUE(accepted.ok());
-  EXPECT_EQ(serve::message_type(accepted.value()), "accepted");
-  const auto resub = serve::decode_accepted(accepted.value());
-  ASSERT_TRUE(resub.ok()) << resub.error();
-  EXPECT_EQ(resub.value().job_id, submitted.job_id);
-  EXPECT_EQ(resub.value().points, submitted.points);
-  EXPECT_EQ(resub.value().trials, submitted.trials);
-  EXPECT_EQ(resub.value().cells, submitted.cells);
-
-  // rejected
-  serve::Rejection rejection{"queue full: 9 cells in flight", 500};
-  const auto rejected = util::parse_json(serve::encode_rejected(rejection));
-  ASSERT_TRUE(rejected.ok());
-  const auto rerej = serve::decode_rejected(rejected.value());
-  ASSERT_TRUE(rerej.ok()) << rerej.error();
-  EXPECT_EQ(rerej.value().reason, rejection.reason);
-  EXPECT_EQ(rerej.value().retry_after_ms, rejection.retry_after_ms);
-
-  // status response
-  serve::ServerStatus status;
-  status.jobs_active = 1;
-  status.jobs_submitted = 5;
-  status.jobs_completed = 4;
-  status.jobs_rejected = 2;
-  status.queue_depth = 3;
-  status.events_pending = 7;
-  status.cache_entries = 11;
-  status.cache_bytes = 4096;
-  const auto wire_status = util::parse_json(serve::encode_status(status));
-  ASSERT_TRUE(wire_status.ok());
-  const auto restat = serve::decode_status(wire_status.value());
-  ASSERT_TRUE(restat.ok()) << restat.error();
-  EXPECT_EQ(restat.value().jobs_active, status.jobs_active);
-  EXPECT_EQ(restat.value().jobs_completed, status.jobs_completed);
-  EXPECT_EQ(restat.value().queue_depth, status.queue_depth);
-  EXPECT_EQ(restat.value().cache_bytes, status.cache_bytes);
-}
-
-TEST(ServeProtocol, TrialAndDoneEventsRoundTrip) {
-  serve::ServeEvent trial;
-  trial.kind = serve::ServeEvent::Kind::kTrial;
-  trial.job_id = "abcdef123456-1";
-  trial.cell = 7;
-  trial.point = 2;
-  trial.trial = 1;
-  trial.label = "H=4 listening";
-  trial.cache_hit = true;
-  trial.key = "0123456789abcdef";
-  trial.result = gnarly_result();
-  const auto trial_doc = util::parse_json(serve::encode_event(trial));
-  ASSERT_TRUE(trial_doc.ok());
-  EXPECT_EQ(serve::message_type(trial_doc.value()), "trial");
-  const auto retrial = serve::decode_event(trial_doc.value());
-  ASSERT_TRUE(retrial.ok()) << retrial.error();
-  EXPECT_EQ(retrial.value().kind, serve::ServeEvent::Kind::kTrial);
-  EXPECT_EQ(retrial.value().job_id, trial.job_id);
-  EXPECT_EQ(retrial.value().cell, trial.cell);
-  EXPECT_EQ(retrial.value().point, trial.point);
-  EXPECT_EQ(retrial.value().trial, trial.trial);
-  EXPECT_EQ(retrial.value().label, trial.label);
-  EXPECT_TRUE(retrial.value().cache_hit);
-  EXPECT_EQ(retrial.value().key, trial.key);
-  EXPECT_EQ(serve::encode_result(retrial.value().result),
-            serve::encode_result(trial.result));
-
-  serve::ServeEvent done;
-  done.kind = serve::ServeEvent::Kind::kJobDone;
-  done.job_id = "abcdef123456-1";
-  done.cells = 12;
-  done.hits = 9;
-  done.misses = 3;
-  done.error = "";
-  const auto done_doc = util::parse_json(serve::encode_event(done));
-  ASSERT_TRUE(done_doc.ok());
-  EXPECT_EQ(serve::message_type(done_doc.value()), "done");
-  const auto redone = serve::decode_event(done_doc.value());
-  ASSERT_TRUE(redone.ok()) << redone.error();
-  EXPECT_EQ(redone.value().kind, serve::ServeEvent::Kind::kJobDone);
-  EXPECT_EQ(redone.value().cells, done.cells);
-  EXPECT_EQ(redone.value().hits, done.hits);
-  EXPECT_EQ(redone.value().misses, done.misses);
-  EXPECT_TRUE(redone.value().error.empty());
 }

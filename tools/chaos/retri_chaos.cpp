@@ -9,10 +9,10 @@
 // replays a single trial, since trial 0's derived seed is the base seed's
 // first derivation — use the printed trial_seed with --raw-seed instead).
 //
-// --cache DIR memoizes trials in a serve::ResultCache store: a re-run (or
-// a soak killed halfway) serves already-simulated seeds from disk and only
-// simulates the remainder. Cached records are fingerprint-verified on
-// every hit; output is bit-identical to an uncached soak.
+// --cache DIR memoizes trials in a serve::ResultCache store: a re-run
+// serves the seeds earlier runs simulated from disk and only simulates the
+// remainder. Cached records are fingerprint-verified on every hit; output
+// is bit-identical to an uncached soak.
 //
 // Determinism contract: output and JSON artifact are pure functions of
 // (--seeds, --seconds, --senders, --bits, --seed); --jobs only shards
@@ -24,15 +24,16 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/chaos.hpp"
 #include "obs/export.hpp"
 #include "runner/chaos_soak.hpp"
-#include "runner/json.hpp"
 #include "runner/seeds.hpp"
 #include "serve/chaos_cells.hpp"
-#include "serve/fault_soak.hpp"
+#include "sim/time.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -47,12 +48,6 @@ struct Args {
   std::string out;         // JSON artifact path; empty = no export
   std::string cache;       // memo-table directory; empty = no memoization
   bool verbose = false;
-
-  // --serve-faults mode: the serve-layer crash/fault soak instead of the
-  // AFF chaos soak (see serve/fault_soak.hpp).
-  bool serve_faults = false;
-  unsigned rounds = 10;    // --rounds N
-  std::string dir;         // --dir DIR: soak working directory (required)
 };
 
 void usage(std::FILE* to) {
@@ -61,22 +56,14 @@ void usage(std::FILE* to) {
                "                   [--senders N] [--bits B] [--seed X]\n"
                "                   [--raw-seed] [--out FILE] [--cache DIR]\n"
                "                   [--verbose]\n"
-               "       retri_chaos --serve-faults --dir DIR [--rounds N]\n"
-               "                   [--jobs N] [--seed X] [--out FILE]\n"
                "\n"
                "Runs N seeded chaos trials against the AFF stack and checks\n"
                "conservation invariants. Exit 0: all trials clean; 1: some\n"
                "trial violated an invariant; 2: bad arguments or I/O error.\n"
                "--raw-seed runs trial 0 with --seed verbatim (replay a\n"
                "trial_seed printed by a previous soak). --cache DIR serves\n"
-               "already-simulated seeds from an on-disk memo table, so a\n"
-               "killed soak resumes instead of restarting.\n"
-               "\n"
-               "--serve-faults soaks the serve layer instead: crash points\n"
-               "in the atomic store path and injected I/O faults under a\n"
-               "real Server, auditing that no cache entry tears and no cell\n"
-               "runs twice. Its audit fingerprint is identical for every\n"
-               "--jobs value.\n");
+               "seeds that earlier runs simulated from an on-disk memo\n"
+               "table instead of simulating them again.\n");
 }
 
 bool parse_u64(const char* s, std::uint64_t& value) {
@@ -122,7 +109,8 @@ int parse_args(int argc, char** argv, Args& args) {
     } else if (flag == "--jobs") {
       ok = parse_unsigned(next(), args.jobs) && args.jobs >= 1;
     } else if (flag == "--seconds") {
-      ok = parse_double(next(), args.seconds) && args.seconds > 0.0;
+      ok = parse_double(next(), args.seconds) &&
+           retri::sim::Duration::fits_positive_seconds(args.seconds);
     } else if (flag == "--senders") {
       std::uint64_t wide = 0;
       ok = parse_u64(next(), wide) && wide >= 1 && wide <= 64;
@@ -144,14 +132,6 @@ int parse_args(int argc, char** argv, Args& args) {
       if (ok) args.cache = value;
     } else if (flag == "--verbose" || flag == "-v") {
       args.verbose = true;
-    } else if (flag == "--serve-faults") {
-      args.serve_faults = true;
-    } else if (flag == "--rounds") {
-      ok = parse_unsigned(next(), args.rounds) && args.rounds >= 1;
-    } else if (flag == "--dir") {
-      const char* value = next();
-      ok = value != nullptr && *value != '\0';
-      if (ok) args.dir = value;
     } else {
       std::fprintf(stderr, "retri_chaos: unknown flag '%s'\n", flag.c_str());
       usage(stderr);
@@ -170,101 +150,13 @@ int parse_args(int argc, char** argv, Args& args) {
                          "exclusive (replays must re-simulate)\n");
     return 2;
   }
-  if (args.serve_faults && args.dir.empty()) {
-    std::fprintf(stderr, "retri_chaos: --serve-faults needs --dir DIR\n");
-    return 2;
-  }
   return 0;
-}
-
-/// Artifact for --serve-faults. Deliberately excludes --jobs from the
-/// config block: check.sh diffs a jobs=1 artifact against a jobs=4 one,
-/// and everything here must be identical between them.
-std::string serve_fault_json(const Args& args,
-                             const retri::serve::ServeFaultSoakReport& report) {
-  retri::runner::JsonWriter json(/*pretty=*/true);
-  json.begin_object();
-  json.member("schema", "retri.serve-fault-soak");
-  json.member("schema_version", 1);
-
-  json.key("config").begin_object();
-  json.member("rounds", args.rounds);
-  json.member("base_seed", args.seed);
-  json.end_object();
-
-  json.member("ok", report.ok());
-  json.member("fingerprint", report.fingerprint);
-  json.member("cells_streamed", report.cells_streamed);
-  json.member("cache_hits", report.cache_hits);
-  json.member("cache_misses", report.cache_misses);
-  json.member("quarantined", report.quarantined_total);
-
-  json.key("violations").begin_array();
-  for (const std::string& violation : report.violations) {
-    json.value(violation);
-  }
-  json.end_array();
-
-  json.key("rounds_detail").begin_array();
-  for (const retri::serve::ServeFaultRound& round : report.rounds) {
-    json.begin_object();
-    json.member("round", round.round);
-    json.member("mode", round.mode);
-    json.member("detail", round.detail);
-    json.member("outcome", round.outcome);
-    json.member("quarantined", round.quarantined);
-    json.end_object();
-  }
-  json.end_array();
-
-  json.end_object();
-  return json.str();
-}
-
-int run_serve_faults(const Args& args) {
-  retri::serve::ServeFaultSoakOptions options;
-  options.rounds = args.rounds;
-  options.jobs = args.jobs;
-  options.seed = args.seed;
-  options.dir = args.dir;
-
-  const retri::serve::ServeFaultSoakReport report =
-      retri::serve::run_serve_fault_soak(options);
-
-  for (const retri::serve::ServeFaultRound& round : report.rounds) {
-    std::printf("round %3u %-6s [%s] %s%s\n", round.round, round.mode.c_str(),
-                round.detail.c_str(), round.outcome.c_str(),
-                round.quarantined != 0 ? " (+quarantine)" : "");
-  }
-  for (const std::string& violation : report.violations) {
-    std::printf("violation: %s\n", violation.c_str());
-  }
-  std::printf("serve-fault soak: %s — %llu cells streamed, %llu hits, %llu "
-              "simulated, %llu quarantined, fingerprint %s\n",
-              report.ok() ? "clean" : "DIRTY",
-              static_cast<unsigned long long>(report.cells_streamed),
-              static_cast<unsigned long long>(report.cache_hits),
-              static_cast<unsigned long long>(report.cache_misses),
-              static_cast<unsigned long long>(report.quarantined_total),
-              report.fingerprint.c_str());
-
-  if (!args.out.empty()) {
-    std::string error;
-    if (!retri::obs::write_text_file(args.out,
-                                     serve_fault_json(args, report) + "\n",
-                                     &error)) {
-      std::fprintf(stderr, "retri_chaos: %s\n", error.c_str());
-      return 2;
-    }
-    std::printf("wrote %s\n", args.out.c_str());
-  }
-  return report.ok() ? 0 : 1;
 }
 
 std::string soak_json(
     const Args& args,
     const std::vector<retri::serve::ChaosCellRecord>& records) {
-  retri::runner::JsonWriter json(/*pretty=*/true);
+  retri::util::JsonWriter json(/*pretty=*/true);
   json.begin_object();
   json.member("schema", "retri.chaos-soak");
   json.member("schema_version", 1);
@@ -318,7 +210,6 @@ std::string soak_json(
 int main(int argc, char** argv) {
   Args args;
   if (const int bad = parse_args(argc, argv, args)) return bad;
-  if (args.serve_faults) return run_serve_faults(args);
 
   retri::fault::ChaosTrialConfig base;
   base.senders = args.senders;
@@ -334,16 +225,15 @@ int main(int argc, char** argv) {
     records.push_back(
         retri::serve::project(retri::fault::run_chaos_trial(replay)));
   } else if (!args.cache.empty()) {
-    retri::serve::CachedChaosOptions options;
-    options.seeds = args.seeds;
-    options.jobs = args.jobs;
+    retri::serve::MemoOptions options;
     options.cache_dir = args.cache;
-    const retri::serve::CachedChaosSoak soak =
-        retri::serve::run_cached_chaos_soak(base, options);
-    records = soak.records;
+    options.jobs = args.jobs;
+    retri::serve::CachedChaosSoak soak =
+        retri::serve::run_cached_chaos_soak(base, args.seeds, options);
+    records = std::move(soak.records);
     std::printf("cache %s: %llu hits, %llu simulated\n", args.cache.c_str(),
-                static_cast<unsigned long long>(soak.hits),
-                static_cast<unsigned long long>(soak.misses));
+                static_cast<unsigned long long>(soak.stats.hits),
+                static_cast<unsigned long long>(soak.stats.misses));
   } else {
     retri::runner::ChaosSoakOptions options;
     options.seeds = args.seeds;
