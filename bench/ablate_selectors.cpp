@@ -103,6 +103,9 @@ std::string comparison_json(const runner::SweepSpec& spec,
 
 int main(int argc, char** argv) {
   auto args = retri::bench::parse_args(argc, argv);
+  if (const int bad = retri::bench::reject_retri_bench_flags(args, stderr)) {
+    return bad;
+  }
 
   auto named = runner::make_named_sweep("selectors");
   if (!named.ok()) {

@@ -137,7 +137,22 @@ BenchArgs parse_args(int argc, char** argv) {
   return args;
 }
 
+int reject_retri_bench_flags(const BenchArgs& args, std::FILE* err) {
+  const char* flag = !args.sweep.empty()      ? "--sweep"
+                     : !args.selector.empty() ? "--selector"
+                     : !args.cache.empty()    ? "--cache"
+                     : args.list              ? "--list"
+                     : args.micro             ? "--micro"
+                     : args.macro             ? "--macro"
+                                              : nullptr;
+  if (flag == nullptr) return 0;
+  std::fprintf(err, "%s is a retri_bench flag; this binary rejects it\n",
+               flag);
+  return 2;
+}
+
 int require_no_out(const BenchArgs& args, std::FILE* err) {
+  if (const int bad = reject_retri_bench_flags(args, err)) return bad;
   if (args.out.empty()) return 0;
   std::fprintf(err,
                "--out is not supported by this binary (it prints tables "

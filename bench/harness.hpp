@@ -73,11 +73,17 @@ BenchArgs parse_args(int argc, char** argv);
 int export_result(const std::string& path, const runner::SweepResult& result,
                   std::FILE* err);
 
-/// Exit-2 guard for the figure/ablation binaries, which print tables but
-/// never export JSON: the shared grammar accepts --out everywhere, and
-/// accepting it while silently ignoring it is the same artifact-loss bug
-/// class export_result closes. Returns 0 when --out was not given; prints
-/// a redirect to `retri_bench --sweep NAME --out` and returns 2 otherwise.
+/// Exit-2 guard for the figure/ablation binaries. The shared grammar
+/// accepts retri_bench's own flags everywhere (--sweep, --selector,
+/// --cache, --list, --micro, --macro), and accepting one while silently
+/// ignoring it is the same intent-loss bug class export_result closes.
+/// Returns 0 when none was given; prints the first one found and returns
+/// 2 otherwise.
+int reject_retri_bench_flags(const BenchArgs& args, std::FILE* err);
+
+/// reject_retri_bench_flags for binaries that print tables but never
+/// export JSON, which also refuse --out with a redirect to
+/// `retri_bench --sweep NAME --out`.
 int require_no_out(const BenchArgs& args, std::FILE* err);
 
 }  // namespace retri::bench

@@ -1,13 +1,12 @@
 // Self-timed hot-path micro measurements behind `retri_bench --micro`.
 //
-// Unlike the google-benchmark micro_ops binary (interactive tuning, pretty
-// statistics), this suite exists to produce a machine-diffable artifact:
-// fixed operation counts, exact per-op heap-allocation counts via
-// util::alloc_hook, and a schema-versioned JSON document
-// (bench/BENCH_micro.json is the committed baseline) that
-// scripts/bench_compare.py diffs to gate perf regressions. ns_per_op is
-// host-dependent and therefore noisy across machines; allocs_per_op is
-// deterministic and is the metric the check.sh --perf stage gates on.
+// The suite exists to produce a machine-diffable artifact: fixed operation
+// counts, exact per-op heap-allocation counts via util::alloc_hook, and a
+// schema-versioned JSON document (bench/BENCH_micro.json is the committed
+// baseline) that scripts/bench_compare.py diffs to gate perf regressions.
+// ns_per_op is host-dependent and therefore noisy across machines;
+// allocs_per_op is deterministic and is the metric the check.sh --perf
+// stage gates on.
 #pragma once
 
 #include <cstdint>

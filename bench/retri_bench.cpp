@@ -32,7 +32,6 @@
 // on --jobs workers and are added to it. The table and the --out artifact
 // are byte-identical to an uncached run.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -40,6 +39,7 @@
 #include "harness.hpp"
 #include "macro.hpp"
 #include "micro.hpp"
+#include "obs/export.hpp"
 #include "runner/result_sink.hpp"
 #include "runner/sweep.hpp"
 #include "serve/memo.hpp"
@@ -70,6 +70,16 @@ int list_selectors(std::FILE* stream) {
   return 0;
 }
 
+/// Same contract as export_result: exit 2 when `path` cannot be written,
+/// since a zero exit with the artifact silently missing would poison the
+/// bench_compare.py pipeline.
+int write_artifact(const std::string& path, const std::string& json) {
+  std::string error;
+  if (retri::obs::write_text_file(path, json, &error)) return 0;
+  std::fprintf(stderr, "%s\n", error.c_str());
+  return 2;
+}
+
 int run_micro(const retri::bench::BenchArgs& args) {
   const auto results = retri::bench::run_micro_suite();
 
@@ -82,17 +92,9 @@ int run_micro(const retri::bench::BenchArgs& args) {
   else table.print(std::cout);
 
   if (!args.out.empty()) {
-    // Same contract as export_result: a zero exit with the artifact
-    // silently missing would poison the bench_compare.py pipeline.
-    std::ofstream file(args.out, std::ios::binary | std::ios::trunc);
-    if (!file) {
-      std::fprintf(stderr, "cannot open %s for writing\n", args.out.c_str());
-      return 2;
-    }
-    file << retri::bench::micro_to_json(results) << '\n';
-    if (!file.flush()) {
-      std::fprintf(stderr, "failed writing %s\n", args.out.c_str());
-      return 2;
+    if (const int status =
+            write_artifact(args.out, retri::bench::micro_to_json(results))) {
+      return status;
     }
     std::printf("\nwrote %s (micro schema v%d, %zu benchmarks)\n",
                 args.out.c_str(), retri::bench::kMicroSchemaVersion,
@@ -114,15 +116,9 @@ int run_macro(const retri::bench::BenchArgs& args) {
   else table.print(std::cout);
 
   if (!args.out.empty()) {
-    std::ofstream file(args.out, std::ios::binary | std::ios::trunc);
-    if (!file) {
-      std::fprintf(stderr, "cannot open %s for writing\n", args.out.c_str());
-      return 2;
-    }
-    file << retri::bench::macro_to_json(results) << '\n';
-    if (!file.flush()) {
-      std::fprintf(stderr, "failed writing %s\n", args.out.c_str());
-      return 2;
+    if (const int status =
+            write_artifact(args.out, retri::bench::macro_to_json(results))) {
+      return status;
     }
     std::printf("\nwrote %s (macro schema v%d, %zu benchmarks)\n",
                 args.out.c_str(), retri::bench::kMacroSchemaVersion,

@@ -126,17 +126,19 @@ SweepResult SweepRunner::run(const SweepSpec& spec) const {
     out.points[p].trials.resize(trials);
   }
 
-  auto run_one = [&out, &points](std::size_t p, unsigned t) {
-    ExperimentConfig config = points[p].config;
-    config.seed = derive_trial_seed(points[p].config.seed, t);
-    out.points[p].trials[t] = run_experiment(config);
-  };
-
   std::mutex progress_mutex;
   std::size_t points_done = 0;
   std::vector<unsigned> remaining(points.size(), trials);
-  auto note_trial_done = [&](std::size_t p) {
-    std::lock_guard<std::mutex> lock(progress_mutex);
+  // Every (point, trial) pair is one job, so points with few trials never
+  // serialize the sweep's tail.
+  parallel_for(points.size() * trials, options_.jobs, [&](std::size_t i) {
+    const std::size_t p = i / trials;
+    const std::size_t t = i % trials;
+    ExperimentConfig config = points[p].config;
+    config.seed = derive_trial_seed(points[p].config.seed, t);
+    out.points[p].trials[t] = run_experiment(config);
+
+    const std::lock_guard<std::mutex> lock(progress_mutex);
     if (--remaining[p] == 0) {
       ++points_done;
       if (options_.on_point_done) {
@@ -144,29 +146,7 @@ SweepResult SweepRunner::run(const SweepSpec& spec) const {
             {points_done, points.size(), p, out.points[p].label});
       }
     }
-  };
-
-  if (options_.jobs <= 1) {
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      for (unsigned t = 0; t < trials; ++t) {
-        run_one(p, t);
-        note_trial_done(p);
-      }
-    }
-  } else {
-    // Flatten every (point, trial) pair into one pool: points with few
-    // trials no longer serialize the sweep's tail.
-    ThreadPool pool(options_.jobs);
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      for (unsigned t = 0; t < trials; ++t) {
-        pool.submit([&run_one, &note_trial_done, p, t] {
-          run_one(p, t);
-          note_trial_done(p);
-        });
-      }
-    }
-    pool.wait_idle();
-  }
+  });
 
   for (SweepPointResult& point : out.points) {
     point.summary = TrialRunner::summarize(point.trials);

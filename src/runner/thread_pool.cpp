@@ -40,11 +40,6 @@ void ThreadPool::wait_idle() {
   }
 }
 
-unsigned ThreadPool::default_jobs() noexcept {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> job;
@@ -68,6 +63,19 @@ void ThreadPool::worker_loop() {
       if (queue_.empty() && active_ == 0) all_idle_.notify_all();
     }
   }
+}
+
+void parallel_for(std::size_t count, unsigned jobs,
+                  const std::function<void(std::size_t)>& job) {
+  if (jobs <= 1 || count <= 1) {
+    for (std::size_t i = 0; i < count; ++i) job(i);
+    return;
+  }
+  ThreadPool pool(static_cast<unsigned>(std::min<std::size_t>(jobs, count)));
+  for (std::size_t i = 0; i < count; ++i) {
+    pool.submit([&job, i] { job(i); });
+  }
+  pool.wait_idle();
 }
 
 }  // namespace retri::runner

@@ -41,9 +41,6 @@ class ThreadPool {
 
   std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Sensible default worker count: hardware_concurrency, at least 1.
-  static unsigned default_jobs() noexcept;
-
  private:
   void worker_loop();
 
@@ -56,5 +53,13 @@ class ThreadPool {
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
+
+/// The runner's one sharding loop: calls job(0) .. job(count - 1), each of
+/// which must write only its own result slot. Runs inline on the calling
+/// thread when jobs <= 1 or count <= 1, otherwise on a pool of
+/// min(jobs, count) workers. Returns once every job has finished and
+/// rethrows the first exception a job raised.
+void parallel_for(std::size_t count, unsigned jobs,
+                  const std::function<void(std::size_t)>& job);
 
 }  // namespace retri::runner

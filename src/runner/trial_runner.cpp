@@ -1,7 +1,5 @@
 #include "runner/trial_runner.hpp"
 
-#include <algorithm>
-#include <mutex>
 #include <utility>
 
 #include "runner/seeds.hpp"
@@ -15,35 +13,11 @@ TrialRunner::TrialRunner(TrialRunnerOptions options)
 std::vector<ExperimentResult> TrialRunner::run(const ExperimentConfig& config,
                                                unsigned trials) const {
   std::vector<ExperimentResult> results(trials);
-  const std::uint64_t base_seed = config.seed;
-
-  auto run_one = [&config, base_seed, &results](unsigned t) {
+  parallel_for(trials, options_.jobs, [&config, &results](std::size_t t) {
     ExperimentConfig trial_config = config;
-    trial_config.seed = derive_trial_seed(base_seed, t);
+    trial_config.seed = derive_trial_seed(config.seed, t);
     results[t] = run_experiment(trial_config);
-  };
-
-  if (options_.jobs <= 1 || trials <= 1) {
-    for (unsigned t = 0; t < trials; ++t) {
-      run_one(t);
-      if (options_.on_progress) options_.on_progress({t + 1u, trials});
-    }
-    return results;
-  }
-
-  std::mutex progress_mutex;
-  std::size_t completed = 0;
-  ThreadPool pool(std::min<unsigned>(options_.jobs, trials));
-  for (unsigned t = 0; t < trials; ++t) {
-    pool.submit([&, t] {
-      run_one(t);
-      if (options_.on_progress) {
-        const std::lock_guard<std::mutex> lock(progress_mutex);
-        options_.on_progress({++completed, trials});
-      }
-    });
-  }
-  pool.wait_idle();
+  });
   return results;
 }
 

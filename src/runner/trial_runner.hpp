@@ -14,8 +14,6 @@
 // Consequently jobs=1 and jobs=N produce bit-identical per-trial results.
 #pragma once
 
-#include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "runner/experiment.hpp"
@@ -34,17 +32,9 @@ struct TrialSummary {
   obs::MetricsSnapshot metrics_total;
 };
 
-struct TrialProgress {
-  std::size_t completed = 0;
-  std::size_t total = 0;
-};
-
 struct TrialRunnerOptions {
   /// Worker threads; <=1 runs inline on the calling thread (no pool).
   unsigned jobs = 1;
-  /// Invoked after each trial completes, serialized under a mutex. May be
-  /// called from worker threads — keep it cheap and reentrancy-free.
-  std::function<void(const TrialProgress&)> on_progress;
 };
 
 class TrialRunner {

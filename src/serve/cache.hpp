@@ -14,7 +14,7 @@
 //      the on-disk store is loaded AND on every hit, so a corrupted or
 //      hand-edited entry is detected rather than returned;
 //   3. the entry stores the producer's semantic fingerprint
-//      (runner::fingerprint / fault::fingerprint), which serve::memoize
+//      (runner::fingerprint for both kinds), which serve::memoize
 //      re-derives from the decoded body on each hit — a body that decodes
 //      cleanly but no longer describes the same trial is rejected too.
 // Entries are bounded by a byte budget with LRU eviction (get() refreshes

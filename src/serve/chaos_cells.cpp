@@ -22,7 +22,7 @@ constexpr CellCodec<ChaosCellRecord> kChaosTrial{
 
 }  // namespace
 
-ChaosCellRecord project(const fault::ChaosTrialResult& result) {
+ChaosCellRecord project(const runner::ChaosTrialResult& result) {
   ChaosCellRecord record;
   record.plan = result.plan.describe();
   record.packets_offered = result.packets_offered;
@@ -31,7 +31,7 @@ ChaosCellRecord project(const fault::ChaosTrialResult& result) {
   record.crashes = result.crashes;
   record.restarts = result.restarts;
   record.violations = result.violations;
-  record.fingerprint = fault::fingerprint(result);
+  record.fingerprint = runner::fingerprint(result);
   return record;
 }
 
@@ -84,7 +84,7 @@ util::Result<ChaosCellRecord, std::string> decode_chaos_record(
   return record;
 }
 
-std::string canonical_chaos_cell(const fault::ChaosTrialConfig& config) {
+std::string canonical_chaos_cell(const runner::ChaosTrialConfig& config) {
   util::JsonWriter json(/*pretty=*/false);
   json.begin_object();
   json.member("kind", kChaosKind);
@@ -102,10 +102,10 @@ std::string canonical_chaos_cell(const fault::ChaosTrialConfig& config) {
   return json.str();
 }
 
-CachedChaosSoak run_cached_chaos_soak(const fault::ChaosTrialConfig& base,
+CachedChaosSoak run_cached_chaos_soak(const runner::ChaosTrialConfig& base,
                                       unsigned seeds,
                                       const MemoOptions& options) {
-  std::vector<fault::ChaosTrialConfig> configs(seeds == 0 ? 1 : seeds, base);
+  std::vector<runner::ChaosTrialConfig> configs(seeds == 0 ? 1 : seeds, base);
   std::vector<std::string> keys;
   keys.reserve(configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -119,7 +119,7 @@ CachedChaosSoak run_cached_chaos_soak(const fault::ChaosTrialConfig& base,
   soak.stats = memoize(
       cache, kChaosTrial, keys, options.jobs,
       [&configs](std::size_t i) {
-        return project(fault::run_chaos_trial(configs[i]));
+        return project(runner::run_chaos_trial(configs[i]));
       },
       soak.records);
   return soak;

@@ -10,8 +10,8 @@
 // types into a serialization surface for no consumer.
 //
 // Hit verification (serve::memoize) differs from sweep trials only in what
-// counts as the record's fingerprint: fault::fingerprint cannot be
-// re-derived from the flat record (it covers the nested stats), so the
+// counts as the record's fingerprint: a chaos trial's runner::fingerprint
+// cannot be re-derived from the flat record (it covers the nested stats), so the
 // fingerprint stored in the record body stands in for it. A hit is then
 // trusted when its CRC passes AND that stored fingerprint equals the one
 // the cache entry was labeled with — a tampered body that still parses
@@ -23,7 +23,7 @@
 #include <string_view>
 #include <vector>
 
-#include "fault/chaos.hpp"
+#include "runner/chaos.hpp"
 #include "serve/memo.hpp"
 #include "util/result.hpp"
 
@@ -38,13 +38,13 @@ struct ChaosCellRecord {
   std::uint64_t crashes = 0;
   std::uint64_t restarts = 0;
   std::vector<std::string> violations;
-  std::string fingerprint;  // fault::fingerprint at production time
+  std::string fingerprint;  // runner::fingerprint at production time
 
   bool clean() const noexcept { return violations.empty(); }
   bool operator==(const ChaosCellRecord&) const = default;
 };
 
-ChaosCellRecord project(const fault::ChaosTrialResult& result);
+ChaosCellRecord project(const runner::ChaosTrialResult& result);
 
 std::string encode_chaos_record(const ChaosCellRecord& record);
 util::Result<ChaosCellRecord, std::string> decode_chaos_record(
@@ -52,7 +52,7 @@ util::Result<ChaosCellRecord, std::string> decode_chaos_record(
 
 /// Canonical cell for one chaos trial (config with the trial seed baked
 /// in), the cache-key input for chaos entries.
-std::string canonical_chaos_cell(const fault::ChaosTrialConfig& config);
+std::string canonical_chaos_cell(const runner::ChaosTrialConfig& config);
 
 struct CachedChaosSoak {
   std::vector<ChaosCellRecord> records;  // seed-index order
@@ -64,7 +64,7 @@ struct CachedChaosSoak {
 /// exists and simulated otherwise; fresh results are committed before
 /// returning, so the next run re-simulates none of them. Records are
 /// bit-identical to an uncached soak's projections for any jobs value.
-CachedChaosSoak run_cached_chaos_soak(const fault::ChaosTrialConfig& base,
+CachedChaosSoak run_cached_chaos_soak(const runner::ChaosTrialConfig& base,
                                       unsigned seeds,
                                       const MemoOptions& options);
 

@@ -11,8 +11,8 @@
 //      fingerprint re-derived from the decoded record equals the label
 //      the entry was stored under. Anything less is invalidated and
 //      re-simulated, never served;
-//   2. simulate: the misses run on a runner::ThreadPool, each into its own
-//      slot, so the records are identical for any jobs value;
+//   2. simulate: the misses run through runner::parallel_for, each into
+//      its own slot, so the records are identical for any jobs value;
 //   3. commit: fresh records are put() in cell order, on the calling
 //      thread again — ResultCache is not thread-safe and never leaves it.
 //      Nothing is committed before the last miss finishes, so a run killed
@@ -84,15 +84,9 @@ MemoStats memoize(ResultCache& cache, const CellCodec<Record>& codec,
     missing.push_back(i);
   }
 
-  if (jobs <= 1 || missing.size() <= 1) {
-    for (const std::size_t i : missing) out[i] = simulate(i);
-  } else {
-    runner::ThreadPool pool(jobs);
-    for (const std::size_t i : missing) {
-      pool.submit([&out, &simulate, i] { out[i] = simulate(i); });
-    }
-    pool.wait_idle();
-  }
+  runner::parallel_for(missing.size(), jobs, [&](std::size_t m) {
+    out[missing[m]] = simulate(missing[m]);
+  });
 
   for (const std::size_t i : missing) {
     cache.put(keys[i], std::string(codec.kind), codec.fingerprint(out[i]),

@@ -195,18 +195,47 @@ TEST(ResultSinkWriteFile, FillsErrorForUnwritablePath) {
 TEST(RequireNoOut, PassesWhenOutUnset) {
   BenchArgs args;
   EXPECT_EQ(retri::bench::require_no_out(args, stderr), 0);
+  // The flags the figure/ablation binaries honor pass the guard.
+  const auto outcome = parse({"--trials", "3", "--seconds", "1.5", "--senders",
+                              "7", "--seed", "99", "--jobs", "2", "--csv"});
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  EXPECT_EQ(retri::bench::require_no_out(outcome.args, stderr), 0);
+  EXPECT_EQ(retri::bench::reject_retri_bench_flags(outcome.args, stderr), 0);
 }
 
 TEST(RequireNoOut, RejectsIgnoredOutWithStatus2AndRedirect) {
+  const auto guard_message = [](const BenchArgs& args, int& status) {
+    std::FILE* err = std::tmpfile();
+    EXPECT_NE(err, nullptr);
+    if (err == nullptr) return std::string();
+    status = retri::bench::require_no_out(args, err);
+    std::rewind(err);
+    char buf[256] = {};
+    const std::size_t n = std::fread(buf, 1, sizeof buf - 1, err);
+    std::fclose(err);
+    return std::string(buf, n);
+  };
+
   BenchArgs args;
   args.out = "fig.json";
-  std::FILE* err = std::tmpfile();
-  ASSERT_NE(err, nullptr);
-  EXPECT_EQ(retri::bench::require_no_out(args, err), 2);
-  std::rewind(err);
-  char buf[256] = {};
-  const std::size_t n = std::fread(buf, 1, sizeof buf - 1, err);
-  const std::string msg(buf, n);
+  int status = 0;
+  std::string msg = guard_message(args, status);
+  EXPECT_EQ(status, 2);
   EXPECT_NE(msg.find("retri_bench"), std::string::npos);
   EXPECT_NE(msg.find("fig.json"), std::string::npos);
+
+  // retri_bench's own flags are refused the same way, each by name.
+  const std::vector<std::vector<std::string>> retri_bench_only = {
+      {"--sweep", "fig4"}, {"--selector", "uniform"}, {"--cache", "memo"},
+      {"--list"},          {"--micro"},               {"--macro"}};
+  for (const std::vector<std::string>& tokens : retri_bench_only) {
+    const auto outcome = parse(tokens);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    status = 0;
+    msg = guard_message(outcome.args, status);
+    EXPECT_EQ(status, 2) << tokens[0];
+    EXPECT_NE(msg.find(tokens[0]), std::string::npos) << msg;
+    EXPECT_EQ(retri::bench::reject_retri_bench_flags(outcome.args, stderr), 2)
+        << tokens[0];
+  }
 }

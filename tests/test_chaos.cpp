@@ -1,17 +1,15 @@
 // Chaos harness tests: trials are clean, deterministic, and sharding-
 // invariant. Labelled `chaos` (own binary) so scripts/check.sh can select
 // them under sanitizers without rerunning the whole tier-1 suite.
-#include "fault/chaos.hpp"
+#include "runner/chaos.hpp"
 
 #include <gtest/gtest.h>
-
-#include "runner/chaos_soak.hpp"
 
 namespace retri {
 namespace {
 
-fault::ChaosTrialConfig quick_config(std::uint64_t seed) {
-  fault::ChaosTrialConfig config;
+runner::ChaosTrialConfig quick_config(std::uint64_t seed) {
+  runner::ChaosTrialConfig config;
   config.send_duration = sim::Duration::seconds(1);
   config.seed = seed;
   return config;
@@ -19,29 +17,29 @@ fault::ChaosTrialConfig quick_config(std::uint64_t seed) {
 
 TEST(ChaosTrial, SampleSeedsRunClean) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const fault::ChaosTrialResult result =
-        fault::run_chaos_trial(quick_config(seed));
+    const runner::ChaosTrialResult result =
+        runner::run_chaos_trial(quick_config(seed));
     EXPECT_TRUE(result.clean()) << "seed " << seed << ":\n"
-                                << fault::fingerprint(result);
+                                << runner::fingerprint(result);
     EXPECT_GT(result.packets_offered, 0u);
   }
 }
 
 TEST(ChaosTrial, SameConfigSameFingerprint) {
-  const fault::ChaosTrialConfig config = quick_config(7);
-  const std::string first = fault::fingerprint(fault::run_chaos_trial(config));
-  const std::string second = fault::fingerprint(fault::run_chaos_trial(config));
+  const runner::ChaosTrialConfig config = quick_config(7);
+  const std::string first = runner::fingerprint(runner::run_chaos_trial(config));
+  const std::string second = runner::fingerprint(runner::run_chaos_trial(config));
   EXPECT_EQ(first, second);
 }
 
 TEST(ChaosTrial, DifferentSeedsDifferentPlans) {
-  const auto a = fault::run_chaos_trial(quick_config(1));
-  const auto b = fault::run_chaos_trial(quick_config(2));
-  EXPECT_NE(fault::fingerprint(a), fault::fingerprint(b));
+  const auto a = runner::run_chaos_trial(quick_config(1));
+  const auto b = runner::run_chaos_trial(quick_config(2));
+  EXPECT_NE(runner::fingerprint(a), runner::fingerprint(b));
 }
 
 TEST(ChaosSoak, JobsDoNotChangeResults) {
-  const fault::ChaosTrialConfig base = quick_config(9);
+  const runner::ChaosTrialConfig base = quick_config(9);
   runner::ChaosSoakOptions serial;
   serial.seeds = 6;
   serial.jobs = 1;
@@ -52,7 +50,7 @@ TEST(ChaosSoak, JobsDoNotChangeResults) {
   const auto b = runner::run_chaos_soak(base, parallel);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(fault::fingerprint(a[i]), fault::fingerprint(b[i]))
+    EXPECT_EQ(runner::fingerprint(a[i]), runner::fingerprint(b[i]))
         << "trial " << i;
   }
 }

@@ -16,7 +16,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "fault/chaos.hpp"
+#include "runner/chaos.hpp"
 #include "runner/experiment.hpp"
 #include "runner/trial_runner.hpp"
 
@@ -102,13 +102,13 @@ TEST(GoldenFingerprints, ChaosChannel) {
 }
 
 TEST(GoldenFingerprints, ChaosSoakTrials) {
-  fault::ChaosTrialConfig config;
+  runner::ChaosTrialConfig config;
   config.senders = 3;
   config.send_duration = sim::Duration::seconds(2);
 
   config.seed = 7;
   EXPECT_EQ(
-      fault::fingerprint(fault::run_chaos_trial(config)),
+      runner::fingerprint(runner::run_chaos_trial(config)),
       "plan{burst(avg=0.299,len=3.2) corrupt(0.119/0.29) trunc(0.054) "
       "dup(0.055,max=2) churn(up=6.0s,down=0.77s)} frames_sent=959 "
       "attempted=2877 delivered=650 lost_random=0 lost_rf=0 lost_hdx=2023 "
@@ -120,7 +120,7 @@ TEST(GoldenFingerprints, ChaosSoakTrials) {
 
   config.seed = 8;
   EXPECT_EQ(
-      fault::fingerprint(fault::run_chaos_trial(config)),
+      runner::fingerprint(runner::run_chaos_trial(config)),
       "plan{burst(avg=0.230,len=2.9) trunc(0.059) dup(0.064,max=2) "
       "delay(0.32,47ms)} frames_sent=1032 attempted=3096 delivered=2618 "
       "lost_random=0 lost_rf=0 lost_hdx=0 lost_off=0 lost_fault=729 "

@@ -2,89 +2,34 @@
 // plus cross-module behaviours no unit test covers.
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
+#include <string_view>
 
 #include "aff/driver.hpp"
-#include "apps/workload.hpp"
 #include "core/model.hpp"
 #include "core/selector.hpp"
 #include "radio/radio.hpp"
+#include "runner/experiment.hpp"
 #include "sim/medium.hpp"
 
 namespace retri {
 namespace {
 
-/// One §5.1-style run: `senders` nodes stream 80-byte packets at a single
-/// receiver for `duration` of simulated time; returns AFF-delivered and
+/// One §5.1-style run through runner::run_experiment: `senders` nodes
+/// stream 80-byte packets at a single receiver for `duration` of simulated
+/// time, then drain for 15 s; the result carries AFF-delivered and
 /// ground-truth delivered counts at the receiver.
-struct ValidationOutcome {
-  std::uint64_t aff_delivered = 0;
-  std::uint64_t truth_delivered = 0;
-  double delivery_ratio() const {
-    return truth_delivered == 0
-               ? 0.0
-               : static_cast<double>(aff_delivered) /
-                     static_cast<double>(truth_delivered);
-  }
-};
-
-ValidationOutcome run_validation(unsigned id_bits, std::string_view policy,
-                                 std::size_t senders, sim::Duration duration,
-                                 std::uint64_t seed) {
-  sim::Simulator sim;
-  sim::BroadcastMedium medium(sim, sim::Topology::star_full_mesh(senders), {},
-                              seed);
-
-  aff::AffDriverConfig config;
-  config.wire.id_bits = id_bits;
-  config.wire.instrumented = true;
-
-  // Real radios never transmit in perfect lockstep; a little per-frame
-  // jitter reproduces the testbed's natural phase drift.
-  radio::RadioConfig radio_config;
-  radio_config.max_backoff = sim::Duration::milliseconds(2);
-
-  struct Stack {
-    std::unique_ptr<radio::Radio> radio;
-    std::unique_ptr<core::IdSelector> selector;
-    std::unique_ptr<aff::AffDriver> driver;
-    std::unique_ptr<apps::TrafficSource> source;
-  };
-
-  // Node 0 is the receiver.
-  Stack receiver;
-  receiver.radio = std::make_unique<radio::Radio>(
-      medium, 0, radio_config, radio::EnergyModel{}, seed * 31);
-  const core::SelectorSpec spec = core::parse_selector_spec(policy).value();
-  receiver.selector =
-      core::make_selector(spec, core::IdSpace(id_bits), seed * 37);
-  receiver.driver = std::make_unique<aff::AffDriver>(
-      *receiver.radio, *receiver.selector, config, 0);
-
-  std::vector<Stack> tx(senders);
-  for (std::size_t i = 0; i < senders; ++i) {
-    const auto node = static_cast<sim::NodeId>(i + 1);
-    tx[i].radio = std::make_unique<radio::Radio>(
-        medium, node, radio_config, radio::EnergyModel{}, seed * 41 + node);
-    tx[i].selector =
-        core::make_selector(spec, core::IdSpace(id_bits), seed * 43 + node);
-    tx[i].driver = std::make_unique<aff::AffDriver>(*tx[i].radio,
-                                                    *tx[i].selector, config,
-                                                    node);
-    tx[i].source = std::make_unique<apps::TrafficSource>(
-        sim, *tx[i].driver, std::make_unique<apps::SaturatingWorkload>(80),
-        seed * 47 + node);
-    tx[i].source->start(sim::TimePoint::origin() + duration);
-  }
-
-  sim.run_until(sim::TimePoint::origin() + duration +
-                sim::Duration::seconds(15));
-
-  ValidationOutcome out;
-  out.aff_delivered = receiver.driver->stats().packets_delivered;
-  out.truth_delivered = receiver.driver->stats().truth_packets_delivered;
-  return out;
+runner::ExperimentResult run_validation(
+    unsigned id_bits, std::string_view policy, std::size_t senders,
+    sim::Duration duration, std::uint64_t seed,
+    runner::TopologyKind topology = runner::TopologyKind::kStarFullMesh) {
+  runner::ExperimentConfig config;
+  config.senders = senders;
+  config.topology = topology;
+  config.id_bits = id_bits;
+  config.selector = core::parse_selector_spec(policy).value();
+  config.send_duration = duration;
+  config.seed = seed;
+  return runner::run_experiment(config);
 }
 
 TEST(Integration, FiveSendersWideIdsDeliverEverything) {
@@ -175,50 +120,18 @@ TEST(Integration, HiddenTerminalsDefeatListening) {
   // identifiers, so listening degenerates toward uniform there, while in a
   // full mesh it helps. We verify listening's advantage is no better under
   // hidden terminals than in the full mesh.
-  auto run_topo = [](sim::Topology topology, std::uint64_t seed) {
-    sim::Simulator sim;
-    sim::BroadcastMedium medium(sim, std::move(topology), {}, seed);
-    aff::AffDriverConfig config;
-    config.wire.id_bits = 2;
-    config.wire.instrumented = true;
-
-    radio::RadioConfig radio_config;
-    radio_config.max_backoff = sim::Duration::milliseconds(2);
-
-    radio::Radio rx_radio(medium, 0, radio_config, radio::EnergyModel{}, seed + 1);
-    core::UniformSelector rx_sel(core::IdSpace(2), seed + 2);
-    aff::AffDriver rx(rx_radio, rx_sel, config, 0);
-
-    std::vector<std::unique_ptr<radio::Radio>> radios;
-    std::vector<std::unique_ptr<core::IdSelector>> selectors;
-    std::vector<std::unique_ptr<aff::AffDriver>> drivers;
-    std::vector<std::unique_ptr<apps::TrafficSource>> sources;
-    for (sim::NodeId node = 1; node <= 2; ++node) {
-      radios.push_back(std::make_unique<radio::Radio>(
-          medium, node, radio_config, radio::EnergyModel{}, seed + 10 + node));
-      selectors.push_back(
-          core::make_selector(core::parse_selector_spec("listening").value(),
-                              core::IdSpace(2), seed + 20 + node));
-      drivers.push_back(std::make_unique<aff::AffDriver>(
-          *radios.back(), *selectors.back(), config, node));
-      sources.push_back(std::make_unique<apps::TrafficSource>(
-          sim, *drivers.back(), std::make_unique<apps::SaturatingWorkload>(80),
-          seed + 30 + node));
-      sources.back()->start(sim::TimePoint::origin() + sim::Duration::seconds(30));
-    }
-    sim.run_until(sim::TimePoint::origin() + sim::Duration::seconds(45));
-    const auto& stats = rx.stats();
-    return stats.truth_packets_delivered == 0
-               ? 0.0
-               : static_cast<double>(stats.packets_delivered) /
-                     static_cast<double>(stats.truth_packets_delivered);
+  auto run_topo = [](runner::TopologyKind topology, std::uint64_t seed) {
+    return run_validation(2, "listening", 2, sim::Duration::seconds(30), seed,
+                          topology)
+        .delivery_ratio();
   };
 
   double mesh_total = 0.0;
   double hidden_total = 0.0;
   for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    mesh_total += run_topo(sim::Topology::star_full_mesh(2), 1000 + seed);
-    hidden_total += run_topo(sim::Topology::hidden_terminal(2), 2000 + seed);
+    mesh_total += run_topo(runner::TopologyKind::kStarFullMesh, 1000 + seed);
+    hidden_total +=
+        run_topo(runner::TopologyKind::kHiddenTerminal, 2000 + seed);
   }
   EXPECT_GE(mesh_total, hidden_total);
 }

@@ -353,7 +353,7 @@ TEST(LintScope, ScopePrefixesRestrictWhereARuleApplies) {
   EXPECT_TRUE(lint::rule_applies(*hot, "src/sim/engine.cpp"));
   EXPECT_TRUE(lint::rule_applies(*hot, "src/core/identifier.hpp"));
   EXPECT_FALSE(lint::rule_applies(*hot, "src/aff/driver.cpp"));
-  EXPECT_FALSE(lint::rule_applies(*hot, "bench/micro_ops.cpp"));
+  EXPECT_FALSE(lint::rule_applies(*hot, "bench/micro.cpp"));
 
   // Rules without scope_prefixes keep their applies-everywhere default.
   const lint::Rule* rand_rule = find_rule("no-unseeded-rand");

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -83,6 +84,20 @@ TEST(ThreadPool, ClampsZeroThreadsToOne) {
   EXPECT_EQ(pool.size(), 1u);
 }
 
+TEST(ThreadPool, ParallelForFillsEverySlotOnceAtAnyJobCount) {
+  for (const unsigned jobs : {0u, 1u, 3u, 16u}) {
+    std::vector<int> slots(7, 0);
+    runner::parallel_for(slots.size(), jobs,
+                         [&slots](std::size_t i) { slots[i] += 1; });
+    EXPECT_EQ(slots, std::vector<int>(7, 1)) << "jobs=" << jobs;
+  }
+  EXPECT_THROW(runner::parallel_for(3, 2,
+                                    [](std::size_t i) {
+                                      if (i == 1) throw std::runtime_error("boom");
+                                    }),
+               std::runtime_error);
+}
+
 TEST(Seeds, PureFunctionOfBaseAndIndex) {
   EXPECT_EQ(runner::derive_trial_seed(7, 3), runner::derive_trial_seed(7, 3));
   EXPECT_NE(runner::derive_trial_seed(7, 3), runner::derive_trial_seed(7, 4));
@@ -145,22 +160,6 @@ TEST(TrialRunner, LegacyRunTrialsWrapperAgrees) {
   EXPECT_EQ(sharded.delivery_ratio.outcomes(), reference);
   EXPECT_EQ(serial.collision_loss.outcomes(), sharded.collision_loss.outcomes());
   expect_identical(serial.last, sharded.last);
-}
-
-TEST(TrialRunner, ProgressReportsEveryTrialOnce) {
-  const auto config = small_config();
-  std::vector<std::size_t> completions;
-  runner::TrialRunnerOptions options;
-  options.jobs = 4;
-  options.on_progress = [&completions](const runner::TrialProgress& p) {
-    EXPECT_EQ(p.total, 4u);
-    completions.push_back(p.completed);
-  };
-  runner::TrialRunner(options).run(config, 4);
-  // Serialized under the runner's mutex: each count appears exactly once.
-  ASSERT_EQ(completions.size(), 4u);
-  std::set<std::size_t> unique(completions.begin(), completions.end());
-  EXPECT_EQ(unique, (std::set<std::size_t>{1, 2, 3, 4}));
 }
 
 TEST(ExperimentResult, ClassLossClampedToUnitInterval) {

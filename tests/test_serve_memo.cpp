@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "runner/chaos_soak.hpp"
+#include "runner/chaos.hpp"
 #include "runner/result_sink.hpp"
 #include "runner/seeds.hpp"
 #include "runner/sweep.hpp"
@@ -175,7 +175,7 @@ TEST_F(MemoTest, MoreTrialsSimulateOnlyTheNewTrials) {
 }
 
 TEST_F(MemoTest, CachedChaosSoakMatchesTheUncachedSoak) {
-  retri::fault::ChaosTrialConfig base;
+  runner::ChaosTrialConfig base;
   base.senders = 3;
   base.id_bits = 6;
   base.send_duration = retri::sim::Duration::milliseconds(500);

@@ -1,6 +1,6 @@
 // retri_chaos: the chaos soak CLI.
 //
-// Runs N independent fault::run_chaos_trial trials (each with its own
+// Runs N independent runner::run_chaos_trial trials (each with its own
 // random_plan-derived hostile channel and churn schedule), audits every
 // trial's conservation invariants, and reports per-seed outcomes. The soak
 // is the robustness gate for the AFF stack: exit status 1 means some seed
@@ -27,9 +27,8 @@
 #include <utility>
 #include <vector>
 
-#include "fault/chaos.hpp"
 #include "obs/export.hpp"
-#include "runner/chaos_soak.hpp"
+#include "runner/chaos.hpp"
 #include "runner/seeds.hpp"
 #include "serve/chaos_cells.hpp"
 #include "sim/time.hpp"
@@ -211,7 +210,7 @@ int main(int argc, char** argv) {
   Args args;
   if (const int bad = parse_args(argc, argv, args)) return bad;
 
-  retri::fault::ChaosTrialConfig base;
+  retri::runner::ChaosTrialConfig base;
   base.senders = args.senders;
   base.id_bits = args.bits;
   base.send_duration = retri::sim::Duration::from_seconds(args.seconds);
@@ -221,9 +220,9 @@ int main(int argc, char** argv) {
   if (args.raw_seed) {
     // Replay mode: run --seed verbatim as a single trial (no derivation),
     // so a trial_seed printed by a soak reproduces that exact trial.
-    retri::fault::ChaosTrialConfig replay = base;
+    retri::runner::ChaosTrialConfig replay = base;
     records.push_back(
-        retri::serve::project(retri::fault::run_chaos_trial(replay)));
+        retri::serve::project(retri::runner::run_chaos_trial(replay)));
   } else if (!args.cache.empty()) {
     retri::serve::MemoOptions options;
     options.cache_dir = args.cache;
@@ -263,14 +262,14 @@ int main(int argc, char** argv) {
       std::printf("        violation: %s\n", violation.c_str());
     }
     if (args.verbose) {
-      std::printf("%s", record.fingerprint.c_str());
+      std::printf("        %s\n", record.fingerprint.c_str());
     }
   }
   std::printf("chaos soak: %u/%zu trials clean\n", clean, records.size());
 
   if (!args.out.empty()) {
     std::string error;
-    if (!retri::obs::write_text_file(args.out, soak_json(args, records) + "\n",
+    if (!retri::obs::write_text_file(args.out, soak_json(args, records),
                                      &error)) {
       std::fprintf(stderr, "retri_chaos: %s\n", error.c_str());
       return 2;
