@@ -22,6 +22,7 @@
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
 
+using retri::runner::Channel;
 using retri::runner::ExperimentConfig;
 using retri::runner::ExperimentResult;
 using retri::runner::TrialRunner;
@@ -37,7 +38,7 @@ struct ChannelOutcome {
   TrialSet truth_delivery;  // per-trial truth_delivered / packets_offered
 };
 
-ChannelOutcome run(const char* channel, double loss_rate,
+ChannelOutcome run(Channel channel, double loss_rate,
                    const retri::bench::BenchArgs& args) {
   ExperimentConfig config;
   config.senders = args.senders;
@@ -85,8 +86,8 @@ int main(int argc, char** argv) {
   bool calibrated = true;
   bool burst_helps_packets = true;
   for (const double target : targets) {
-    const ChannelOutcome iid = run("independent", target, args);
-    const ChannelOutcome burst = run("burst", target, args);
+    const ChannelOutcome iid = run(Channel::kIndependent, target, args);
+    const ChannelOutcome burst = run(Channel::kBurst, target, args);
 
     table.row({fmt(target, 2), fmt(iid.frame_loss.mean()),
                fmt(burst.frame_loss.mean()), fmt(iid.truth_delivery.mean()),

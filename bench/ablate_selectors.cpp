@@ -61,11 +61,11 @@ double total_loss(const runner::SweepResult& result,
   return total;
 }
 
-/// The committed Eq.-4-style artifact (bench/ABLATE_selectors.json): one
-/// compact row per (selector, attacker, load) cell. A pure function of the
-/// sweep results, which are themselves --jobs-invariant, so the bytes must
-/// match across worker counts; scripts/check.sh relies on that for the
-/// full-detail sweep artifact and this file is the distilled counterpart.
+/// The Eq.-4-style --out artifact: one compact row per (selector,
+/// attacker, load) cell. A pure function of the sweep results, which are
+/// themselves --jobs-invariant, so `--jobs 1` and `--jobs 8` runs must
+/// write byte-identical files; scripts/check.sh checks the same property
+/// on the full-detail selectors sweep artifact this file distills.
 std::string comparison_json(const runner::SweepSpec& spec,
                             const runner::SweepResult& result) {
   std::string out;

@@ -1,12 +1,12 @@
 #include "harness.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
 #include "runner/result_sink.hpp"
 #include "sim/time.hpp"
+#include "util/parse_number.hpp"
 
 namespace retri::bench {
 
@@ -16,34 +16,6 @@ runner::TrialSummary run_trials(const runner::ExperimentConfig& config,
   options.jobs = jobs;
   return runner::TrialRunner(options).run_summary(config, trials);
 }
-
-namespace {
-
-// Strict whole-token numeric parsing: "12x", "", "-3" (for unsigned) and
-// out-of-range values are all rejected so a typo can never silently run a
-// default experiment.
-template <typename T>
-bool parse_int(std::string_view token, T& out) {
-  const char* first = token.data();
-  const char* last = token.data() + token.size();
-  T value{};
-  const auto [ptr, ec] = std::from_chars(first, last, value);
-  if (ec != std::errc{} || ptr != last || token.empty()) return false;
-  out = value;
-  return true;
-}
-
-bool parse_double(std::string_view token, double& out) {
-  const char* first = token.data();
-  const char* last = token.data() + token.size();
-  double value{};
-  const auto [ptr, ec] = std::from_chars(first, last, value);
-  if (ec != std::errc{} || ptr != last || token.empty()) return false;
-  out = value;
-  return true;
-}
-
-}  // namespace
 
 bool try_parse_args(int argc, char** argv, BenchArgs& args,
                     std::string& error) {
@@ -60,7 +32,7 @@ bool try_parse_args(int argc, char** argv, BenchArgs& args,
     std::string_view value;
     if (flag == "--trials") {
       if (!next_value(value)) return false;
-      if (!parse_int(value, args.trials) || args.trials == 0) {
+      if (!util::parse_int(value, args.trials) || args.trials == 0) {
         error = "--trials needs a positive integer, got '" +
                 std::string(value) + "'";
         return false;
@@ -68,7 +40,7 @@ bool try_parse_args(int argc, char** argv, BenchArgs& args,
     } else if (flag == "--seconds") {
       if (!next_value(value)) return false;
       // nan, inf and 1e300 all parse; from_seconds would overflow on them.
-      if (!parse_double(value, args.seconds) ||
+      if (!util::parse_double(value, args.seconds) ||
           !sim::Duration::fits_positive_seconds(args.seconds)) {
         error = "--seconds needs a positive, finite number below 9.2e9, "
                 "got '" + std::string(value) + "'";
@@ -76,21 +48,21 @@ bool try_parse_args(int argc, char** argv, BenchArgs& args,
       }
     } else if (flag == "--senders") {
       if (!next_value(value)) return false;
-      if (!parse_int(value, args.senders) || args.senders == 0) {
+      if (!util::parse_int(value, args.senders) || args.senders == 0) {
         error = "--senders needs a positive integer, got '" +
                 std::string(value) + "'";
         return false;
       }
     } else if (flag == "--seed") {
       if (!next_value(value)) return false;
-      if (!parse_int(value, args.seed)) {
+      if (!util::parse_int(value, args.seed)) {
         error = "--seed needs an unsigned integer, got '" +
                 std::string(value) + "'";
         return false;
       }
     } else if (flag == "--jobs") {
       if (!next_value(value)) return false;
-      if (!parse_int(value, args.jobs) || args.jobs == 0) {
+      if (!util::parse_int(value, args.jobs) || args.jobs == 0) {
         error = "--jobs needs a positive integer, got '" +
                 std::string(value) + "'";
         return false;

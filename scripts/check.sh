@@ -25,7 +25,7 @@
 #                attacker soak: `retri_bench --sweep selectors` at --jobs 1
 #                vs --jobs 8 must emit byte-identical artifacts
 #   9. cache   — memo-store gate under the werror build: `ctest -L serve`
-#                (cache, crash points, codec, cached sweep and chaos soak)
+#                (cache, crash points, cached sweep and chaos soak)
 #                plus one short sweep run three times — uncached, cold
 #                `--cache` at --jobs 1, warm `--cache` at --jobs 4: the
 #                three artifacts must be byte-identical and the warm run
@@ -236,7 +236,7 @@ selector_stage() {
 run_stage selector selector_stage
 
 # --- 9. memo-store gate -------------------------------------------------------
-# Unit suites for the cache/codec/memo layers, then the end-to-end contract
+# Unit suites for the cache/memo layers, then the end-to-end contract
 # of `retri_bench --cache`: memoization only skips work, so an uncached run,
 # a cold cached run and a warm cached run at another --jobs value must emit
 # the same bytes, and the warm run must simulate nothing.

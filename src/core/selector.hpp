@@ -142,8 +142,9 @@ ListeningConfig validated(ListeningConfig config);
 
 /// The structured description of a selection policy: which policy, plus the
 /// per-policy parameters. This is what ExperimentConfig carries, what the
-/// serve codec round-trips, and what sweeps grid over; the string names
-/// exist only at the CLI edge (parse_selector_spec / describe).
+/// runner codec writes into every memo key and sweep artifact, and what
+/// sweeps grid over; the string names exist only at the CLI edge
+/// (parse_selector_spec / describe).
 struct SelectorSpec {
   SelectorPolicy policy = SelectorPolicy::kUniform;
   /// kListening / kHybrid: window and notification behavior.

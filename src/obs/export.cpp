@@ -4,6 +4,8 @@
 #include <fstream>
 #include <vector>
 
+#include "util/parse_number.hpp"
+
 namespace retri::obs {
 
 bool write_text_file(const std::string& path, std::string_view content,
@@ -27,7 +29,7 @@ bool write_text_file(const std::string& path, std::string_view content,
   return true;
 }
 
-bool export_to_file(const Exporter& exporter, const std::string& path,
+bool export_to_file(const PerfettoExporter& exporter, const std::string& path,
                     std::string* error) {
   std::string write_error;
   if (write_text_file(path, exporter.serialize(), &write_error)) return true;
@@ -68,6 +70,55 @@ void write_metrics_object(util::JsonWriter& json, const MetricsSnapshot& m) {
 
 namespace {
 
+/// A JSON number holding a whole integer that fits T, token for token.
+template <typename T>
+bool whole(const util::JsonValue& v, T& out) {
+  return v.is_number() && util::parse_int(v.raw(), out);
+}
+
+/// Decodes one member of a metrics object into `entry` (name already set);
+/// returns "" or what is wrong with it.
+std::string decode_metric(const util::JsonValue& v, MetricValue& entry) {
+  if (v.is_number()) {
+    entry.kind = MetricKind::kCounter;
+    return whole(v, entry.count) ? "" : "counter is not a whole number";
+  }
+  const util::JsonValue* value = v.find("value");
+  const util::JsonValue* peak = v.find("peak");
+  if (v.size() == 2 && value != nullptr && peak != nullptr) {
+    entry.kind = MetricKind::kGauge;
+    return whole(*value, entry.level) && whole(*peak, entry.peak)
+               ? ""
+               : "gauge value/peak are not whole numbers";
+  }
+  const util::JsonValue* bounds = v.find("bounds");
+  const util::JsonValue* counts = v.find("counts");
+  const util::JsonValue* total = v.find("total");
+  if (v.size() != 3 || bounds == nullptr || !bounds->is_array() ||
+      counts == nullptr || !counts->is_array() || total == nullptr) {
+    return "not a counter, gauge or histogram";
+  }
+  entry.kind = MetricKind::kHistogram;
+  if (counts->size() != bounds->size() + 1) {
+    return "histogram needs bounds + 1 counts";
+  }
+  for (const util::JsonValue& bound : bounds->items()) {
+    double parsed = 0.0;
+    if (!bound.is_number() || !util::parse_double(bound.raw(), parsed)) {
+      return "histogram bound is not a number";
+    }
+    entry.bounds.push_back(parsed);
+  }
+  entry.buckets.resize(counts->size());
+  for (std::size_t i = 0; i < counts->size(); ++i) {
+    if (!whole((*counts)[i], entry.buckets[i])) {
+      return "histogram count is not a whole number";
+    }
+  }
+  return whole(*total, entry.count) ? ""
+                                     : "histogram total is not a whole number";
+}
+
 constexpr int kTraceSchemaVersion = 1;
 
 /// Microseconds since origin, the trace_event clock unit. Nanosecond sim
@@ -92,6 +143,20 @@ void write_common(util::JsonWriter& json, std::string_view name,
 }
 
 }  // namespace
+
+util::Result<MetricsSnapshot, std::string> decode_metrics_object(
+    const util::JsonValue& doc) {
+  if (!doc.is_object()) return std::string("expected an object");
+  MetricsSnapshot out;
+  out.entries.reserve(doc.size());
+  for (const auto& [name, value] : doc.members()) {
+    MetricValue& entry = out.entries.emplace_back();
+    entry.name = name;
+    const std::string error = decode_metric(value, entry);
+    if (!error.empty()) return "\"" + name + "\": " + error;
+  }
+  return out;
+}
 
 std::string PerfettoExporter::serialize() const {
   util::JsonWriter json(/*pretty=*/false);

@@ -1,10 +1,7 @@
-// One export surface for every artifact format.
+// Artifact export: one checked file writer, the Perfetto trace exporter,
+// and the one JSON encoding of a MetricsSnapshot.
 //
-// PRs 1-4 accumulated three separate dump paths: TraceRecorder's text/CSV
-// dumps, ResultSink's JSON writer, and the chaos CLI's inline ofstream.
-// Exporter unifies them: a format serializes itself to a string, and ONE
-// write/close-checked file writer (extracted from ResultSink::write_file,
-// which bench::export_result already wrapped) persists it — so an
+// write_text_file is the single write/close-checked file writer, so an
 // unwritable --out path exits 2 identically in retri_bench, retri_chaos,
 // and retri_trace.
 //
@@ -27,19 +24,10 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/json.hpp"
+#include "util/json_parse.hpp"
+#include "util/result.hpp"
 
 namespace retri::obs {
-
-class Exporter {
- public:
-  virtual ~Exporter() = default;
-
-  /// Short format tag for CLI messages, e.g. "perfetto-json" or "csv".
-  virtual std::string_view format_name() const noexcept = 0;
-
-  /// The complete artifact body. Pure: no I/O, no clocks.
-  virtual std::string serialize() const = 0;
-};
 
 /// Writes `content` to `path`, folding open, write, flush, AND close
 /// errors into the verdict (close can surface deferred ENOSPC that flush
@@ -49,34 +37,41 @@ class Exporter {
 bool write_text_file(const std::string& path, std::string_view content,
                      std::string* error = nullptr);
 
-/// write_text_file for an Exporter. Returns true on success; on failure
-/// fills `error` with "<format>: <reason>".
-bool export_to_file(const Exporter& exporter, const std::string& path,
-                    std::string* error = nullptr);
-
 /// Exports a span recording (plus an optional metrics snapshot, embedded
 /// under the top-level "retri" key Chrome ignores) as trace_event JSON.
 /// Both referenced objects must outlive the exporter.
-class PerfettoExporter final : public Exporter {
+class PerfettoExporter {
  public:
   explicit PerfettoExporter(const SpanRecorder& spans,
                             const MetricsSnapshot* metrics = nullptr)
       : spans_(spans), metrics_(metrics) {}
 
-  std::string_view format_name() const noexcept override {
-    return "perfetto-json";
-  }
-  std::string serialize() const override;
+  /// Short format tag for CLI messages.
+  std::string_view format_name() const noexcept { return "perfetto-json"; }
+  /// The complete artifact body. Pure: no I/O, no clocks.
+  std::string serialize() const;
 
  private:
   const SpanRecorder& spans_;
   const MetricsSnapshot* metrics_;
 };
 
-/// Serializes a MetricsSnapshot into an open JSON object: counters as
-/// integer members, gauges as {value, peak}, histograms as {bounds,
-/// counts, total}. Shared by PerfettoExporter and runner::ResultSink so
-/// the two artifacts agree on the metric schema.
+/// write_text_file for a PerfettoExporter. Returns true on success; on
+/// failure fills `error` with "perfetto-json: <reason>".
+bool export_to_file(const PerfettoExporter& exporter, const std::string& path,
+                    std::string* error = nullptr);
+
+/// The one JSON encoding of a MetricsSnapshot: an object keyed by metric
+/// name in snapshot order, counters as integer members, gauges as {value,
+/// peak}, histograms as {bounds, counts, total}. The trace artifact, the
+/// sweep artifact and the memo store's result bodies all embed it.
 void write_metrics_object(util::JsonWriter& json, const MetricsSnapshot& m);
+
+/// Strict inverse of write_metrics_object: each member's shape names its
+/// kind, and anything write_metrics_object cannot have produced (a
+/// non-integer count, a histogram whose counts are not bounds + 1 long, a
+/// member of any other shape) is an error naming the metric.
+util::Result<MetricsSnapshot, std::string> decode_metrics_object(
+    const util::JsonValue& doc);
 
 }  // namespace retri::obs

@@ -8,7 +8,8 @@
 //   - recording is zero-allocation (a pointer deref + increment), which
 //     keeps the retri_alloc_tests budgets intact with metrics enabled;
 //   - a snapshot() is a plain value in registration order, diffable and
-//     serializable (ResultSink embeds one per trial, schema v3);
+//     serializable (obs::write_metrics_object is its one JSON encoding,
+//     embedded in every sweep-artifact trial and memo-store body);
 //   - the per-component stats structs (MediumStatsSnapshot,
 //     ReassemblerStatsSnapshot, ...) are snapshot views built from
 //     registry reads.

@@ -22,6 +22,30 @@ std::string_view to_string(core::DensityModelKind kind) noexcept {
   return "?";
 }
 
+std::string_view to_string(Channel channel) noexcept {
+  switch (channel) {
+    case Channel::kIndependent: return "independent";
+    case Channel::kBurst: return "burst";
+    case Channel::kChaos: return "chaos";
+  }
+  return "?";
+}
+
+util::Result<Channel, std::string> parse_channel(std::string_view name) {
+  constexpr Channel kChannels[] = {Channel::kIndependent, Channel::kBurst,
+                                   Channel::kChaos};
+  for (const Channel channel : kChannels) {
+    if (name == to_string(channel)) return channel;
+  }
+  std::string error =
+      "unknown channel \"" + std::string(name) + "\"; available channels:";
+  for (const Channel channel : kChannels) {
+    error += ' ';
+    error += to_string(channel);
+  }
+  return error;
+}
+
 ExperimentConfig validated(ExperimentConfig config) {
   util::Validator v{"ExperimentConfig"};
   v.at_least("senders", config.senders, 1);
@@ -36,11 +60,6 @@ ExperimentConfig validated(ExperimentConfig config) {
   v.probability("sender_listen_duty", config.sender_listen_duty);
   v.positive_seconds("duty_period", config.duty_period.to_seconds());
   v.probability("loss_rate", config.loss_rate);
-  if (config.channel != "independent" && config.channel != "burst" &&
-      config.channel != "chaos") {
-    v.fail_bare("channel", "be independent | burst | chaos, got \"" +
-                               config.channel + "\"");
-  }
   core::validated(config.selector);
   fault::validated(config.attacker);
   return config;

@@ -6,8 +6,7 @@
 // ground truth ("would have been received based on the unique id").
 // Historically this lived in bench/harness.{hpp,cpp}; it moved under
 // src/runner so the parallel TrialRunner/SweepRunner layers — and their
-// tests — can drive experiments without linking bench code. bench/harness
-// re-exports these names for the figure binaries.
+// tests — can drive experiments without linking bench code.
 //
 // One ExperimentConfig → run_experiment() call is a pure function of the
 // config (including config.seed): it constructs a private Simulator, radios
@@ -28,6 +27,7 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "sim/time.hpp"
+#include "util/result.hpp"
 
 namespace retri::runner {
 
@@ -36,8 +36,28 @@ enum class TopologyKind {
   kHiddenTerminal,  // §3.2: senders mutually inaudible
 };
 
+/// Channel model realizing ExperimentConfig::loss_rate.
+enum class Channel {
+  /// i.i.d. per-delivery loss (MediumConfig's native per_link_loss), the
+  /// pre-fault-layer behavior.
+  kIndependent,
+  /// A Gilbert–Elliott fault plan with the same stationary average but
+  /// correlated losses (mean burst length ~5 deliveries).
+  kBurst,
+  /// The full hostile plan scaled from loss_rate: burst loss plus
+  /// corruption, duplication, delay jitter, and sender crash/restart churn.
+  kChaos,
+};
+
 std::string_view to_string(TopologyKind kind) noexcept;
 std::string_view to_string(core::DensityModelKind kind) noexcept;
+/// "independent", "burst" or "chaos": the name the CLI accepts and the
+/// config encoding carries.
+std::string_view to_string(Channel channel) noexcept;
+
+/// Inverse of to_string(Channel); an unknown name returns an error that
+/// lists all three.
+util::Result<Channel, std::string> parse_channel(std::string_view name);
 
 struct ExperimentConfig {
   std::size_t senders = 5;
@@ -66,20 +86,9 @@ struct ExperimentConfig {
   /// Which density estimator the drivers run.
   core::DensityModelKind density_model = core::DensityModelKind::kEwma;
   /// Average per-delivery frame-loss probability of the channel (0 = the
-  /// paper's ideal channel). How the average is realized depends on
-  /// `channel`.
+  /// paper's ideal channel). `channel` says how the average is realized.
   double loss_rate = 0.0;
-  /// Channel model realizing loss_rate:
-  ///   "independent" — i.i.d. per-delivery loss (MediumConfig's native
-  ///                   per_link_loss), the pre-fault-layer behavior;
-  ///   "burst"       — a Gilbert–Elliott fault plan with the same
-  ///                   stationary average but correlated losses (mean
-  ///                   burst length ~5 deliveries);
-  ///   "chaos"       — the full hostile plan scaled from loss_rate: burst
-  ///                   loss plus corruption, duplication, delay jitter,
-  ///                   and sender crash/restart churn.
-  /// Unknown values throw std::invalid_argument from run_experiment.
-  std::string channel = "independent";
+  Channel channel = Channel::kIndependent;
   /// Adversarial collision attacker (fault::AttackerNode). Off by default;
   /// when active the experiment adds one extra off-path node that hears
   /// (and is heard by) everyone, forging identifier collisions during the

@@ -3,11 +3,14 @@
 // Bench output used to be printf tables nothing could diff or track over
 // time; the sink turns a SweepResult into a schema-versioned artifact
 // (BENCH_*.json) carrying the full provenance chain: sweep identity, every
-// point's concrete config, every per-trial metric, and the aggregate
-// statistics the paper plots. The serialization is a pure function of the
-// SweepResult — no timestamps, hostnames, or worker counts — so two runs of
-// the same sweep produce byte-identical files regardless of --jobs, and
-// `cmp a.json b.json` is a valid determinism check.
+// point's concrete config, every trial's result, and the aggregate
+// statistics the paper plots. Configs and trial results are written in
+// runner/codec.hpp's encoding, the same bytes the memo store keys and
+// stores, so the artifact cannot report a field the memo key misses. The
+// serialization is a pure function of the SweepResult — no timestamps,
+// hostnames, or worker counts — so two runs of the same sweep produce
+// byte-identical files regardless of --jobs, and `cmp a.json b.json` is a
+// valid determinism check.
 #pragma once
 
 #include <string>
@@ -31,7 +34,12 @@ class ResultSink {
   /// permutation_period?}; configs with an active attacker gain an
   /// "attacker" object {mode, flood_interval_ms, echo_delay_ms,
   /// echo_probability, junk_bytes}.
-  static constexpr int kSchemaVersion = 5;
+  /// v6: one encoding per type. Each point's "config" is the memo key's
+  /// write_config (every field, durations as integer *_ns); each trial is
+  /// {"seed", "result"} with the memo body's write_result, so the per-trial
+  /// delivery_ratio, collision_loss and observed_frame_loss are gone (the
+  /// aggregates keep delivery_ratio and collision_loss).
+  static constexpr int kSchemaVersion = 6;
 
   /// Serializes `result` (pretty-printed when `pretty`).
   static std::string to_json(const SweepResult& result, bool pretty = true);

@@ -86,12 +86,16 @@ StarSpec star_spec(const ExperimentConfig& config) {
   spec.config = config;
   // Fault-layer channels route loss_rate through a FaultInjector instead
   // of the medium's i.i.d. knob.
-  if (config.channel == "burst") {
-    spec.faults = burst_plan(config.loss_rate);
-  } else if (config.channel == "chaos") {
-    spec.faults = chaos_plan(config.loss_rate);
-  } else {
-    spec.medium.per_link_loss = config.loss_rate;
+  switch (config.channel) {
+    case Channel::kIndependent:
+      spec.medium.per_link_loss = config.loss_rate;
+      break;
+    case Channel::kBurst:
+      spec.faults = burst_plan(config.loss_rate);
+      break;
+    case Channel::kChaos:
+      spec.faults = chaos_plan(config.loss_rate);
+      break;
   }
   spec.medium_seed = config.seed;
   spec.injector_seed = config.seed * 59 + 13;

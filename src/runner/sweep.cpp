@@ -42,7 +42,7 @@ std::vector<SweepPoint> SweepSpec::expand() const {
       axis_or(duties, base.sender_listen_duty);
   const std::vector<core::DensityModelKind> density_axis =
       axis_or(density_models, base.density_model);
-  const std::vector<std::string> channel_axis = axis_or(channels, base.channel);
+  const std::vector<Channel> channel_axis = axis_or(channels, base.channel);
   const std::vector<double> loss_axis = axis_or(loss_rates, base.loss_rate);
 
   std::vector<SweepPoint> points;
@@ -53,7 +53,7 @@ std::vector<SweepPoint> SweepSpec::expand() const {
       for (const std::size_t sender_count : sender_axis) {
         for (const double duty : duty_axis) {
           for (const core::DensityModelKind density : density_axis) {
-            for (const std::string& channel : channel_axis) {
+            for (const Channel channel : channel_axis) {
               for (const double loss : loss_axis) {
                 SweepPoint point;
                 point.config = base;
@@ -94,7 +94,9 @@ std::vector<SweepPoint> SweepSpec::expand() const {
                 if (density_axis.size() > 1) {
                   append_label(label, std::string(to_string(density)));
                 }
-                if (channel_axis.size() > 1) append_label(label, channel);
+                if (channel_axis.size() > 1) {
+                  append_label(label, to_string(channel));
+                }
                 if (loss_axis.size() > 1) {
                   append_label(label, "loss=" + stats::fmt(loss, 2));
                 }
@@ -223,7 +225,7 @@ util::Result<SweepSpec, std::string> make_named_sweep(std::string_view name) {
         "independent vs Gilbert-Elliott burst loss at equal average "
         "frame-loss rates (H=8)";
     spec.base.id_bits = 8;
-    spec.channels = {"independent", "burst"};
+    spec.channels = {Channel::kIndependent, Channel::kBurst};
     spec.loss_rates = {0.05, 0.15, 0.30};
   } else if (name == "chaos") {
     // Identifier widths under the full hostile channel: how much of
@@ -232,7 +234,7 @@ util::Result<SweepSpec, std::string> make_named_sweep(std::string_view name) {
     spec.description =
         "identifier widths under the chaos channel "
         "(burst+corrupt+dup+delay+churn)";
-    spec.base.channel = "chaos";
+    spec.base.channel = Channel::kChaos;
     spec.base.loss_rate = 0.15;
     spec.id_bits = {2, 4, 6, 8};
   } else if (name == "selectors") {

@@ -51,7 +51,7 @@ struct SweepSpec {
   std::vector<core::DensityModelKind> density_models;
   /// Channel axes (see ExperimentConfig::channel / loss_rate): grid the
   /// channel model and/or its average frame-loss rate.
-  std::vector<std::string> channels;
+  std::vector<Channel> channels;
   std::vector<double> loss_rates;
 
   /// Number of points the grid expands to.

@@ -48,12 +48,16 @@ namespace retri::serve {
 
 /// Bumped whenever run_experiment / run_chaos_trial results could change
 /// for the same config — the golden-fingerprint suite is the tripwire that
-/// forces the bump. Part of every cache key, so stale entries become
-/// unreachable instead of wrong.
+/// forces the bump — or an entry body changes shape. Part of every cache
+/// key, so stale entries become unreachable (a miss) instead of wrong or
+/// undecodable.
 /// v2: ExperimentConfig's flat policy string became a structured
 /// SelectorSpec and configs gained an attacker plan, changing the
 /// canonical cell encoding (nested "selector"/"attacker" objects).
-inline constexpr std::string_view kCodeVersion = "retri-sim-v2";
+/// v3: a sweep-trial body's "metrics" member became
+/// obs::write_metrics_object's keyed object (was an array of
+/// {name, kind, count, level, peak, bounds, buckets} entries).
+inline constexpr std::string_view kCodeVersion = "retri-sim-v3";
 
 struct CacheOptions {
   /// Directory for the persistent store; empty = memory-only (tests).

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "runner/seeds.hpp"
-#include "util/json.hpp"
 #include "util/json_parse.hpp"
 
 namespace retri::serve {
@@ -35,8 +34,7 @@ ChaosCellRecord project(const runner::ChaosTrialResult& result) {
   return record;
 }
 
-std::string encode_chaos_record(const ChaosCellRecord& record) {
-  util::JsonWriter json(/*pretty=*/false);
+void write_chaos_record(util::JsonWriter& json, const ChaosCellRecord& record) {
   json.begin_object();
   json.member("plan", record.plan);
   json.member("packets_offered", record.packets_offered);
@@ -52,6 +50,11 @@ std::string encode_chaos_record(const ChaosCellRecord& record) {
   json.end_array();
   json.member("fingerprint", record.fingerprint);
   json.end_object();
+}
+
+std::string encode_chaos_record(const ChaosCellRecord& record) {
+  util::JsonWriter json(/*pretty=*/false);
+  write_chaos_record(json, record);
   return json.str();
 }
 

@@ -25,6 +25,7 @@
 
 #include "runner/chaos.hpp"
 #include "serve/memo.hpp"
+#include "util/json.hpp"
 #include "util/result.hpp"
 
 namespace retri::serve {
@@ -46,6 +47,10 @@ struct ChaosCellRecord {
 
 ChaosCellRecord project(const runner::ChaosTrialResult& result);
 
+/// The one encoding of a ChaosCellRecord: the memo store's entry body
+/// (encode_chaos_record, compact) and each trial of retri_chaos's --out
+/// artifact (write_chaos_record, nested in the artifact's writer).
+void write_chaos_record(util::JsonWriter& json, const ChaosCellRecord& record);
 std::string encode_chaos_record(const ChaosCellRecord& record);
 util::Result<ChaosCellRecord, std::string> decode_chaos_record(
     std::string_view text);

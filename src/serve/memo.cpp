@@ -2,9 +2,9 @@
 
 #include <iterator>
 
+#include "runner/codec.hpp"
 #include "runner/seeds.hpp"
 #include "runner/trial_runner.hpp"
-#include "serve/codec.hpp"
 
 namespace retri::serve {
 
@@ -14,7 +14,8 @@ namespace {
 // decodes cleanly but no longer describes the trial it is filed under is
 // rejected.
 constexpr CellCodec<runner::ExperimentResult> kSweepTrial{
-    "sweep-trial", &encode_result, &decode_result_text, &runner::fingerprint};
+    "sweep-trial", &runner::encode_result, &runner::decode_result_text,
+    &runner::fingerprint};
 
 }  // namespace
 
@@ -34,7 +35,7 @@ CachedSweep run_cached_sweep(const runner::SweepSpec& spec,
       runner::ExperimentConfig config = point.config;
       config.seed = runner::derive_trial_seed(point.config.seed, t);
       keys.push_back(
-          ResultCache::make_key(kCodeVersion, canonical_cell(config)));
+          ResultCache::make_key(kCodeVersion, runner::canonical_cell(config)));
       configs.push_back(std::move(config));
     }
   }

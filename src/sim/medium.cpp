@@ -15,20 +15,6 @@ namespace {
 /// so fine buckets at the low end tell the real story.
 const std::vector<double> kFrameBytesBounds{8, 16, 24, 32, 48, 64};
 
-/// Span-stream names for the frame trace kinds, mirroring TraceEvent::Kind.
-const char* instant_name(TraceEvent::Kind kind) {
-  switch (kind) {
-    case TraceEvent::Kind::kTransmit: return "frame.transmit";
-    case TraceEvent::Kind::kDeliver: return "frame.deliver";
-    case TraceEvent::Kind::kLostRandom: return "frame.lost_random";
-    case TraceEvent::Kind::kLostCollision: return "frame.lost_rf_collision";
-    case TraceEvent::Kind::kLostHalfDuplex: return "frame.lost_half_duplex";
-    case TraceEvent::Kind::kLostDisabled: return "frame.lost_disabled";
-    case TraceEvent::Kind::kLostFault: return "frame.lost_fault";
-  }
-  return "frame.unknown";
-}
-
 }  // namespace
 
 MediumConfig validated(MediumConfig config) {
@@ -164,20 +150,11 @@ void BroadcastMedium::prune(ActiveRx& rx, TimePoint t) noexcept {
   }
 }
 
-void BroadcastMedium::trace_event(TraceEvent::Kind kind, NodeId from,
-                                  NodeId to, std::size_t bytes) {
-  if (trace_ != nullptr) {
-    trace_->record(TraceEvent{sim_.now(), kind, from, to,
-                              static_cast<std::uint32_t>(bytes)});
-  }
-  if (spans_ != nullptr) {
-    // Bridge the frame stream into the span timeline: ground-truth instants
-    // on the track of the node the event happened *at* (the listener for
-    // delivery/loss events, the sender for transmits).
-    const NodeId track = to != TraceEvent::kNoNode ? to : from;
-    spans_->instant(instant_name(kind), "medium", track, sim_.now(),
-                    obs::SpanId::none(), static_cast<std::uint64_t>(bytes));
-  }
+void BroadcastMedium::frame_instant(const char* name, NodeId track,
+                                    std::size_t bytes) {
+  if (spans_ == nullptr) return;
+  spans_->instant(name, "medium", track, sim_.now(), obs::SpanId::none(),
+                  static_cast<std::uint64_t>(bytes));
 }
 
 void BroadcastMedium::transmit(NodeId from, util::Bytes payload,
@@ -186,8 +163,7 @@ void BroadcastMedium::transmit(NodeId from, util::Bytes payload,
   if (!enabled(from)) return;
   counters_.frames_sent.inc();
   counters_.frame_bytes.record(static_cast<double>(payload.size()));
-  trace_event(TraceEvent::Kind::kTransmit, from, TraceEvent::kNoNode,
-              payload.size());
+  frame_instant("frame.transmit", from, payload.size());
 
   const TimePoint start = sim_.now();
   const TimePoint end = start + airtime;
@@ -277,12 +253,12 @@ void BroadcastMedium::on_delivery(NodeId from, NodeId listener,
   const std::size_t bytes = payload.size();
   if (!enabled(listener)) {
     counters_.lost_disabled.inc();
-    trace_event(TraceEvent::Kind::kLostDisabled, from, listener, bytes);
+    frame_instant("frame.lost_disabled", listener, bytes);
     return;
   }
   if (corrupted) {
     counters_.lost_rf_collision.inc();
-    trace_event(TraceEvent::Kind::kLostCollision, from, listener, bytes);
+    frame_instant("frame.lost_rf_collision", listener, bytes);
     return;
   }
   // Half-duplex: lost if the listener's own transmit burst overlaps the
@@ -291,12 +267,12 @@ void BroadcastMedium::on_delivery(NodeId from, NodeId listener,
   if (config_.half_duplex && tx_busy_until_[listener] > start &&
       tx_first_start_[listener] < end) {
     counters_.lost_half_duplex.inc();
-    trace_event(TraceEvent::Kind::kLostHalfDuplex, from, listener, bytes);
+    frame_instant("frame.lost_half_duplex", listener, bytes);
     return;
   }
   if (config_.per_link_loss > 0.0 && rng_.chance(config_.per_link_loss)) {
     counters_.lost_random.inc();
-    trace_event(TraceEvent::Kind::kLostRandom, from, listener, bytes);
+    frame_instant("frame.lost_random", listener, bytes);
     return;
   }
   if (interceptor_ == nullptr) {
@@ -309,7 +285,7 @@ void BroadcastMedium::on_delivery(NodeId from, NodeId listener,
 void BroadcastMedium::deliver(NodeId from, NodeId listener,
                               const util::SharedBytes& payload) {
   counters_.delivered.inc();
-  trace_event(TraceEvent::Kind::kDeliver, from, listener, payload.size());
+  frame_instant("frame.deliver", listener, payload.size());
   if (handlers_[listener]) handlers_[listener](from, payload.bytes());
 }
 
@@ -319,7 +295,7 @@ void BroadcastMedium::deliver_through_interceptor(
       interceptor_->intercept(from, listener, payload);
   if (copies.empty()) {
     counters_.lost_fault.inc();
-    trace_event(TraceEvent::Kind::kLostFault, from, listener, payload.size());
+    frame_instant("frame.lost_fault", listener, payload.size());
     return;
   }
   counters_.fault_extra_deliveries.inc(
@@ -338,8 +314,7 @@ void BroadcastMedium::deliver_through_interceptor(
         [this, from, listener, delayed = std::move(copy.payload)]() {
           if (!enabled(listener)) {
             counters_.lost_disabled.inc();
-            trace_event(TraceEvent::Kind::kLostDisabled, from, listener,
-                        delayed.size());
+            frame_instant("frame.lost_disabled", listener, delayed.size());
             return;
           }
           deliver(from, listener, delayed);

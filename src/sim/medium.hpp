@@ -23,7 +23,6 @@
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
 #include "sim/topology.hpp"
-#include "sim/trace.hpp"
 #include "util/bytes.hpp"
 #include "util/random.hpp"
 
@@ -104,8 +103,10 @@ class BroadcastMedium {
 
   /// `hooks` wires the medium into a shared obs::MetricsRegistry (counters
   /// under "medium.*", frame-size histogram "medium.frame_bytes") and, when
-  /// hooks.spans is set, mirrors every frame trace event as an instant in
-  /// the span stream (category "medium", track = receiving/sending node).
+  /// hooks.spans is set, records every frame event (transmit, delivery,
+  /// and each loss cause) as a "frame.*" instant in the span stream
+  /// (category "medium", track = receiving/sending node, frame size as
+  /// the instant's bytes).
   /// With default hooks the medium owns a private registry so stats() keeps
   /// working standalone.
   BroadcastMedium(Simulator& sim, Topology topology, MediumConfig config,
@@ -124,10 +125,6 @@ class BroadcastMedium {
   /// addressed to them while off are counted as lost_disabled.
   void set_enabled(NodeId node, bool enabled);
   bool enabled(NodeId node) const;
-
-  /// Attaches (or detaches, with nullptr) a frame-event trace recorder.
-  /// Observational only: recording never affects delivery.
-  void set_trace(TraceRecorder* trace) noexcept { trace_ = trace; }
 
   /// Attaches (or detaches, with nullptr) a delivery interceptor. The
   /// interceptor must outlive every scheduled delivery (in practice: the
@@ -183,8 +180,10 @@ class BroadcastMedium {
   /// releasing their list reference.
   void prune(ActiveRx& rx, TimePoint t) noexcept;
 
-  void trace_event(TraceEvent::Kind kind, NodeId from, NodeId to,
-                   std::size_t bytes);
+  /// Records frame event `name` ("frame.transmit", "frame.deliver",
+  /// "frame.lost_*") as an instant on `track` (the sender for transmits,
+  /// the listener otherwise) when a span recorder is attached.
+  void frame_instant(const char* name, NodeId track, std::size_t bytes);
 
   /// Terminal delivery step: counts, traces, and invokes the handler.
   void deliver(NodeId from, NodeId listener, const util::SharedBytes& payload);
@@ -238,7 +237,6 @@ class BroadcastMedium {
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::SpanRecorder* spans_ = nullptr;
   Counters counters_;
-  TraceRecorder* trace_ = nullptr;
   DeliveryInterceptor* interceptor_ = nullptr;
   std::vector<RxHandler> handlers_;
   std::vector<char> enabled_;

@@ -2,10 +2,10 @@
 //
 // Until retri::serve, every artifact the repo produced was write-only: the
 // JsonWriter emitted BENCH_*.json / trace files and external tools consumed
-// them. The serve subsystem closes the loop — cache entries, job
-// checkpoints, and wire frames are all JSON this process must read back —
-// so the container policy's "no new dependencies" rule buys us a second
-// hand-rolled half instead of a library.
+// them. The memo store closes the loop — its cache entries (and the result
+// bodies and metrics objects inside them) are JSON this process must read
+// back — so the container policy's "no new dependencies" rule buys us a
+// second hand-rolled half instead of a library.
 //
 // Design points:
 //   - JsonValue is a plain ordered DOM: object members keep document order
@@ -17,9 +17,9 @@
 //     with std::from_chars and as_double() gets the exact shortest-form
 //     value the writer emitted — the cache's byte-identical guarantee
 //     hinges on this.
-//   - Untrusted input (wire frames) is bounded: a depth limit rejects
-//     pathological nesting instead of overflowing the stack, and every
-//     error carries a byte offset.
+//   - Untrusted input (a corrupt store entry) is bounded: a depth limit
+//     rejects pathological nesting instead of overflowing the stack, and
+//     every error carries a byte offset.
 #pragma once
 
 #include <cstddef>

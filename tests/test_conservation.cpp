@@ -8,16 +8,18 @@
 // in every regime, not just the ideal one.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include "aff/driver.hpp"
 #include "apps/workload.hpp"
 #include "core/selector.hpp"
 #include "fault/injector.hpp"
+#include "obs/span.hpp"
 #include "radio/radio.hpp"
 #include "sim/medium.hpp"
-#include "sim/trace.hpp"
 
 namespace retri {
 namespace {
@@ -33,9 +35,9 @@ TEST_P(ConservationTest, EveryDeliveryAttemptHasExactlyOneOutcome) {
   config.per_link_loss = loss;
   config.rf_collisions = rf;
   config.half_duplex = hdx;
-  sim::BroadcastMedium medium(sim, sim::Topology::full_mesh(4), config, 77);
-  sim::TraceRecorder trace;
-  medium.set_trace(&trace);
+  obs::SpanRecorder spans;
+  sim::BroadcastMedium medium(sim, sim::Topology::full_mesh(4), config, 77,
+                              obs::Hooks{nullptr, &spans});
 
   struct Stack {
     std::unique_ptr<radio::Radio> radio;
@@ -71,14 +73,14 @@ TEST_P(ConservationTest, EveryDeliveryAttemptHasExactlyOneOutcome) {
                 stats.lost_half_duplex + stats.lost_disabled);
   // (2) Full mesh of 4: every frame has exactly 3 delivery attempts.
   EXPECT_EQ(stats.deliveries_attempted, stats.frames_sent * 3);
-  // (3) The trace recorded the same totals.
-  EXPECT_EQ(trace.count(sim::TraceEvent::Kind::kTransmit), stats.frames_sent);
-  EXPECT_EQ(trace.count(sim::TraceEvent::Kind::kDeliver), stats.delivered);
-  EXPECT_EQ(trace.count(sim::TraceEvent::Kind::kLostRandom), stats.lost_random);
-  EXPECT_EQ(trace.count(sim::TraceEvent::Kind::kLostCollision),
-            stats.lost_rf_collision);
-  EXPECT_EQ(trace.count(sim::TraceEvent::Kind::kLostHalfDuplex),
-            stats.lost_half_duplex);
+  // (3) The medium's frame.* instants recorded the same totals.
+  std::map<std::string, std::uint64_t> instants;
+  for (const obs::Instant& event : spans.instants()) ++instants[event.name];
+  EXPECT_EQ(instants["frame.transmit"], stats.frames_sent);
+  EXPECT_EQ(instants["frame.deliver"], stats.delivered);
+  EXPECT_EQ(instants["frame.lost_random"], stats.lost_random);
+  EXPECT_EQ(instants["frame.lost_rf_collision"], stats.lost_rf_collision);
+  EXPECT_EQ(instants["frame.lost_half_duplex"], stats.lost_half_duplex);
   // (4) Radio-level frame accounting: what the medium delivered to node 0
   // equals what node 0's radio counted (it never slept).
   std::uint64_t received_all_nodes = 0;

@@ -46,7 +46,7 @@ runner::ExperimentConfig config_b() {
 runner::ExperimentConfig config_c() {
   runner::ExperimentConfig config;
   config.senders = 3;
-  config.channel = "chaos";
+  config.channel = runner::Channel::kChaos;
   config.loss_rate = 0.15;
   config.send_duration = sim::Duration::seconds(2);
   config.seed = 3;

@@ -635,7 +635,7 @@ TEST(LintSelectorPolicy, RegistryTuAndOutOfScopePathsAreExempt) {
 TEST(LintSelectorPolicy, NearMissesAndCommentsAreClean) {
   // Only exact policy spellings match: substrings, field names, and
   // comments must not trip the rule.
-  const auto vs = scan("src/serve/codec.cpp",
+  const auto vs = scan("src/runner/codec.cpp",
                        "// the \"uniform\" policy is the baseline\n"
                        "const char* k = \"counter_salt\";\n"
                        "const char* f = \"selector\";\n"

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <vector>
+
+#include "obs/span.hpp"
 
 namespace retri::sim {
 namespace {
@@ -299,6 +303,38 @@ TEST_F(MediumTest, DelayedCopyToNodeDisabledInFlightIsLostDisabled) {
             stats.delivered + stats.lost_random + stats.lost_rf_collision +
                 stats.lost_half_duplex + stats.lost_disabled +
                 stats.lost_fault);
+}
+
+// The span lane is the medium's one frame-event trace: a transmit instant
+// on the sender's track, then one delivery or loss instant per listener on
+// the listener's track, each carrying the frame size.
+TEST_F(MediumTest, FrameInstantsRecordEveryOutcome) {
+  MediumConfig config;
+  config.per_link_loss = 0.5;
+  obs::SpanRecorder spans;
+  BroadcastMedium medium(sim, Topology::full_mesh(2), config, 99,
+                         obs::Hooks{nullptr, &spans});
+  medium.attach(1, [](NodeId, const util::Bytes&) {});
+
+  constexpr std::uint64_t kFrames = 200;
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    medium.transmit(0, {0x01, 0x02}, Duration::microseconds(10));
+    sim.run();
+  }
+
+  std::map<std::string, std::uint64_t> instants;
+  for (const obs::Instant& event : spans.instants()) {
+    ++instants[event.name];
+    EXPECT_EQ(event.category, "medium");
+    EXPECT_EQ(event.track, event.name == "frame.transmit" ? 0u : 1u);
+    ASSERT_EQ(event.attrs.size(), 1u);
+    EXPECT_EQ(event.attrs[0].value, 2u);
+  }
+  EXPECT_EQ(instants.size(), 3u);
+  EXPECT_EQ(instants["frame.transmit"], kFrames);
+  EXPECT_EQ(instants["frame.deliver"] + instants["frame.lost_random"], kFrames);
+  EXPECT_EQ(instants["frame.deliver"], medium.stats().delivered);
+  EXPECT_EQ(instants["frame.lost_random"], medium.stats().lost_random);
 }
 
 TEST_F(MediumTest, ReattachReplacesHandler) {

@@ -1,7 +1,7 @@
 // Export-layer tests: the golden Perfetto fixture (byte-exact trace_event
 // JSON from a hand-built recording), capture_trace's jobs invariance and
-// span-stream integrity on a real experiment, and the shared Exporter
-// write path's error handling.
+// span-stream integrity on a real experiment, the shared write path's
+// error handling, and the metrics object's strict decoder.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,7 +13,8 @@
 #include "runner/observe.hpp"
 #include "runner/seeds.hpp"
 #include "sim/time.hpp"
-#include "sim/trace.hpp"
+#include "util/json.hpp"
+#include "util/json_parse.hpp"
 
 namespace obs = retri::obs;
 namespace runner = retri::runner;
@@ -148,16 +149,17 @@ TEST(CaptureTrace, RejectsOutOfRangeOptions) {
 }
 
 TEST(Exporters, TraceRecorderExportsShareTheWritePath) {
-  sim::TraceRecorder trace;
-  const sim::TraceTextExporter text(trace);
-  const sim::TraceCsvExporter csv(trace);
-  EXPECT_EQ(text.format_name(), "trace-text");
-  EXPECT_EQ(csv.format_name(), "trace-csv");
-  EXPECT_NE(csv.serialize().find("time_s"), std::string::npos);
+  // The one trace recorder is the span recorder; its export goes through
+  // write_text_file and names its format in any error.
+  const obs::SpanRecorder spans;
+  const obs::PerfettoExporter perfetto(spans);
+  EXPECT_EQ(perfetto.format_name(), "perfetto-json");
+  EXPECT_NE(perfetto.serialize().find("traceEvents"), std::string::npos);
 
   std::string error;
-  EXPECT_FALSE(obs::export_to_file(csv, "/nonexistent-dir/out.csv", &error));
-  EXPECT_NE(error.find("trace-csv:"), std::string::npos);
+  EXPECT_FALSE(
+      obs::export_to_file(perfetto, "/nonexistent-dir/trace.json", &error));
+  EXPECT_NE(error.find("perfetto-json:"), std::string::npos);
   EXPECT_NE(error.find("cannot open"), std::string::npos);
 }
 
@@ -165,6 +167,62 @@ TEST(Exporters, WriteTextFileReportsUnopenablePath) {
   std::string error;
   EXPECT_FALSE(obs::write_text_file("/nonexistent-dir/x.json", "{}", &error));
   EXPECT_NE(error.find("cannot open"), std::string::npos);
+}
+
+std::string metrics_text(const obs::MetricsSnapshot& snapshot) {
+  retri::util::JsonWriter json;
+  obs::write_metrics_object(json, snapshot);
+  return json.str();
+}
+
+retri::util::Result<obs::MetricsSnapshot, std::string> decode_metrics_text(
+    std::string_view text) {
+  const auto doc = retri::util::parse_json(text);
+  if (!doc.ok()) return doc.error().describe();
+  return obs::decode_metrics_object(doc.value());
+}
+
+TEST(MetricsObject, CounterGaugeAndHistogramRoundTripExactly) {
+  obs::MetricsRegistry registry;
+  registry.counter("frames").inc(18446744073709551615ull);
+  obs::Gauge depth = registry.gauge("depth");
+  depth.set(9);
+  depth.set(-3);
+  obs::Histogram size = registry.histogram("size", {0.1, 2.5, 64});
+  size.record(0.05);
+  size.record(3.0);
+  size.record(1e9);
+  const obs::MetricsSnapshot snapshot = registry.snapshot();
+
+  const std::string text = metrics_text(snapshot);
+  EXPECT_EQ(text,
+            R"({"frames":18446744073709551615,"depth":{"value":-3,"peak":9},)"
+            R"("size":{"bounds":[0.1,2.5,64],"counts":[1,0,1,1],"total":3}})");
+  const auto decoded = decode_metrics_text(text);
+  ASSERT_TRUE(decoded.ok()) << decoded.error();
+  EXPECT_EQ(decoded.value(), snapshot);
+  EXPECT_EQ(metrics_text(decoded.value()), text);
+}
+
+TEST(MetricsObject, DecoderRejectsWhatTheWriterCannotProduce) {
+  EXPECT_TRUE(decode_metrics_text(
+                  R"({"c":0,"h":{"bounds":[],"counts":[4],"total":4}})")
+                  .ok());
+  // A histogram needs exactly bounds + 1 counts.
+  EXPECT_FALSE(
+      decode_metrics_text(R"({"h":{"bounds":[1,2],"counts":[0,0],"total":0}})")
+          .ok());
+  // Members of no known shape.
+  EXPECT_FALSE(decode_metrics_text(R"({"x":"seven"})").ok());
+  EXPECT_FALSE(decode_metrics_text(R"({"x":{"value":1}})").ok());
+  EXPECT_FALSE(decode_metrics_text(R"({"x":[1,2,3]})").ok());
+  EXPECT_FALSE(decode_metrics_text("[]").ok());
+  // Counters are whole, non-negative numbers.
+  EXPECT_FALSE(decode_metrics_text(R"({"c":-1})").ok());
+  EXPECT_FALSE(decode_metrics_text(R"({"c":1e3})").ok());
+  const auto fractional = decode_metrics_text(R"({"medium.frames_sent":2.5})");
+  ASSERT_FALSE(fractional.ok());
+  EXPECT_NE(fractional.error().find("medium.frames_sent"), std::string::npos);
 }
 
 }  // namespace

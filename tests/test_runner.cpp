@@ -190,12 +190,23 @@ TEST(ExperimentConfigValidation, RejectsBadKnobs) {
   EXPECT_THROW((void)runner::validated(config), std::invalid_argument);
 
   config = runner::ExperimentConfig{};
-  config.channel = "sometimes";
-  EXPECT_THROW((void)runner::validated(config), std::invalid_argument);
-
-  config = runner::ExperimentConfig{};
   config.per_sender_packet_bytes = {80, 0, 40};
   EXPECT_THROW((void)runner::validated(config), std::invalid_argument);
 
   EXPECT_NO_THROW((void)runner::validated(runner::ExperimentConfig{}));
+}
+
+TEST(ExperimentConfigValidation, ParseChannelRoundTripsAndListsTheNames) {
+  for (const runner::Channel channel :
+       {runner::Channel::kIndependent, runner::Channel::kBurst,
+        runner::Channel::kChaos}) {
+    const auto parsed = runner::parse_channel(runner::to_string(channel));
+    ASSERT_TRUE(parsed.ok()) << runner::to_string(channel);
+    EXPECT_EQ(parsed.value(), channel);
+  }
+  const auto bad = runner::parse_channel("sometimes");
+  ASSERT_FALSE(bad.ok());
+  for (const char* name : {"sometimes", "independent", "burst", "chaos"}) {
+    EXPECT_NE(bad.error().find(name), std::string::npos) << name;
+  }
 }

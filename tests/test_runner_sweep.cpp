@@ -1,114 +1,21 @@
 // runner sweeps: grid expansion, the named-sweep registry behind
 // retri_bench, parallel determinism at the sweep level, and ResultSink's
-// JSON artifact (structurally valid, byte-identical across worker counts).
-#include <cctype>
+// JSON artifact (valid, byte-identical across worker counts, and built
+// from the memo store's own encodings).
 #include <set>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "runner/codec.hpp"
 #include "runner/result_sink.hpp"
+#include "runner/seeds.hpp"
 #include "runner/sweep.hpp"
+#include "util/json_parse.hpp"
 
 namespace runner = retri::runner;
 
 namespace {
-
-/// Minimal recursive-descent JSON well-formedness checker — enough to prove
-/// the hand-rolled writer emits parseable documents without pulling in a
-/// JSON library the container doesn't have.
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view text) : text_(text) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    for (;;) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    for (;;) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') ++pos_;
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-  bool number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
 
 runner::SweepSpec tiny_spec() {
   runner::SweepSpec spec;
@@ -257,10 +164,10 @@ TEST(SweepRunner, ParallelSweepMatchesSerialAndExportsStableJson) {
   const std::string json_a = runner::ResultSink::to_json(a);
   const std::string json_b = runner::ResultSink::to_json(b);
   EXPECT_EQ(json_a, json_b);
-  EXPECT_TRUE(JsonChecker(json_a).valid());
+  EXPECT_TRUE(retri::util::parse_json(json_a).ok());
   EXPECT_NE(json_a.find("\"schema\": \"retri.sweep-result\""),
             std::string::npos);
-  EXPECT_NE(json_a.find("\"schema_version\": 5"), std::string::npos);
+  EXPECT_NE(json_a.find("\"schema_version\": 6"), std::string::npos);
   EXPECT_NE(json_a.find("\"delivery_ratio\""), std::string::npos);
   // v3: per-trial metrics snapshots and the trial-order metrics fold.
   EXPECT_NE(json_a.find("\"metrics\""), std::string::npos);
@@ -269,5 +176,51 @@ TEST(SweepRunner, ParallelSweepMatchesSerialAndExportsStableJson) {
   EXPECT_NE(json_a.find("\"ci95_hi\""), std::string::npos);
   EXPECT_NE(json_a.find("H=2 uniform"), std::string::npos);
   // Compact mode is valid too.
-  EXPECT_TRUE(JsonChecker(runner::ResultSink::to_json(a, false)).valid());
+  EXPECT_TRUE(
+      retri::util::parse_json(runner::ResultSink::to_json(a, false)).ok());
+}
+
+// One encoding per type: the artifact embeds, byte for byte, the config
+// encoding the memo store keys cells by and the result body it stores, and
+// each trial's embedded result decodes back to that trial.
+TEST(ResultSink, EmbedsTheMemoEncodingsVerbatim) {
+  runner::SweepSpec spec = tiny_spec();
+  spec.base.send_duration = retri::sim::Duration::milliseconds(500);
+  spec.base.drain_extra = retri::sim::Duration::milliseconds(500);
+  const runner::SweepResult result = runner::SweepRunner(runner::SweepOptions{}).run(spec);
+  const std::string artifact = runner::ResultSink::to_json(result, false);
+
+  for (const runner::SweepPointResult& point : result.points) {
+    SCOPED_TRACE(point.label);
+    EXPECT_NE(
+        artifact.find("\"config\":" + runner::canonical_cell(point.config)),
+        std::string::npos);
+    for (const runner::ExperimentResult& trial : point.trials) {
+      EXPECT_NE(artifact.find("\"result\":" + runner::encode_result(trial)),
+                std::string::npos);
+    }
+  }
+
+  const auto doc = retri::util::parse_json(artifact);
+  ASSERT_TRUE(doc.ok());
+  const retri::util::JsonValue* points = doc.value().find("points");
+  ASSERT_NE(points, nullptr);
+  ASSERT_EQ(points->size(), result.points.size());
+  for (std::size_t p = 0; p < result.points.size(); ++p) {
+    const retri::util::JsonValue* trials = (*points)[p].find("trials");
+    ASSERT_NE(trials, nullptr);
+    ASSERT_EQ(trials->size(), result.points[p].trials.size());
+    for (std::size_t t = 0; t < trials->size(); ++t) {
+      const runner::ExperimentResult& trial = result.points[p].trials[t];
+      const retri::util::JsonValue* body = (*trials)[t].find("result");
+      ASSERT_NE(body, nullptr);
+      const auto decoded = runner::decode_result(*body);
+      ASSERT_TRUE(decoded.ok()) << decoded.error();
+      EXPECT_EQ(runner::fingerprint(decoded.value()),
+                runner::fingerprint(trial));
+      EXPECT_EQ(decoded.value().metrics, trial.metrics);
+      EXPECT_EQ((*trials)[t].u64("seed"),
+                runner::derive_trial_seed(result.points[p].config.seed, t));
+    }
+  }
 }

@@ -14,12 +14,12 @@
 #include <vector>
 
 #include "runner/chaos.hpp"
+#include "runner/codec.hpp"
 #include "runner/result_sink.hpp"
 #include "runner/seeds.hpp"
 #include "runner/sweep.hpp"
 #include "serve/cache.hpp"
 #include "serve/chaos_cells.hpp"
-#include "serve/codec.hpp"
 #include "serve/memo.hpp"
 #include "sim/time.hpp"
 
@@ -55,7 +55,7 @@ std::string cell_key(const runner::SweepSpec& spec, std::size_t point,
   runner::ExperimentConfig config = spec.expand()[point].config;
   config.seed = runner::derive_trial_seed(config.seed, trial);
   return serve::ResultCache::make_key(serve::kCodeVersion,
-                                      serve::canonical_cell(config));
+                                      runner::canonical_cell(config));
 }
 
 /// File name → contents of every entry in a store directory.
@@ -137,12 +137,12 @@ TEST_F(MemoTest, DriftedCacheEntryIsInvalidatedAndReSimulated) {
     serve::ResultCache cache(serve::CacheOptions{options().cache_dir});
     auto entry = cache.get(drifted_body);
     ASSERT_TRUE(entry.has_value());
-    auto decoded = serve::decode_result_text(entry->body);
+    auto decoded = runner::decode_result_text(entry->body);
     ASSERT_TRUE(decoded.ok()) << decoded.error();
     runner::ExperimentResult result = std::move(decoded).value();
     result.aff_delivered += 1;
     cache.put(drifted_body, entry->kind, entry->fingerprint,
-              serve::encode_result(result));
+              runner::encode_result(result));
 
     entry = cache.get(relabeled);
     ASSERT_TRUE(entry.has_value());

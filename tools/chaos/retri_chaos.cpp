@@ -18,12 +18,11 @@
 // (--seeds, --seconds, --senders, --bits, --seed); --jobs only shards
 // work and --cache only skips it. scripts/check.sh diffs --jobs 1 vs
 // --jobs 8 artifacts.
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -33,6 +32,7 @@
 #include "serve/chaos_cells.hpp"
 #include "sim/time.hpp"
 #include "util/json.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -65,70 +65,47 @@ void usage(std::FILE* to) {
                "table instead of simulating them again.\n");
 }
 
-bool parse_u64(const char* s, std::uint64_t& value) {
-  if (s == nullptr || *s == '\0') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  value = parsed;
-  return true;
-}
-
-bool parse_unsigned(const char* s, unsigned& value) {
-  std::uint64_t wide = 0;
-  if (!parse_u64(s, wide) || wide > 1u << 20) return false;
-  value = static_cast<unsigned>(wide);
-  return true;
-}
-
-bool parse_double(const char* s, double& value) {
-  if (s == nullptr || *s == '\0') return false;
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(s, &end);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  value = parsed;
-  return true;
-}
+// Upper bound on --seeds and --jobs, so a typo cannot allocate millions of
+// trial slots or threads.
+constexpr unsigned kMaxCount = 1u << 20;
 
 /// Returns 0 on success, 2 on any malformed flag (printed to stderr).
 int parse_args(int argc, char** argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+    // A missing value reads as empty, which every value check rejects.
+    auto next = [&]() -> std::string_view {
+      return i + 1 < argc ? argv[++i] : std::string_view();
     };
     bool ok = true;
     if (flag == "--help" || flag == "-h") {
       usage(stdout);
       std::exit(0);
     } else if (flag == "--seeds") {
-      ok = parse_unsigned(next(), args.seeds) && args.seeds >= 1;
+      ok = retri::util::parse_int(next(), args.seeds) && args.seeds >= 1 &&
+           args.seeds <= kMaxCount;
     } else if (flag == "--jobs") {
-      ok = parse_unsigned(next(), args.jobs) && args.jobs >= 1;
+      ok = retri::util::parse_int(next(), args.jobs) && args.jobs >= 1 &&
+           args.jobs <= kMaxCount;
     } else if (flag == "--seconds") {
-      ok = parse_double(next(), args.seconds) &&
+      ok = retri::util::parse_double(next(), args.seconds) &&
            retri::sim::Duration::fits_positive_seconds(args.seconds);
     } else if (flag == "--senders") {
-      std::uint64_t wide = 0;
-      ok = parse_u64(next(), wide) && wide >= 1 && wide <= 64;
-      args.senders = static_cast<std::size_t>(wide);
+      ok = retri::util::parse_int(next(), args.senders) && args.senders >= 1 &&
+           args.senders <= 64;
     } else if (flag == "--bits") {
-      ok = parse_unsigned(next(), args.bits) && args.bits >= 1 &&
+      ok = retri::util::parse_int(next(), args.bits) && args.bits >= 1 &&
            args.bits <= 16;
     } else if (flag == "--seed") {
-      ok = parse_u64(next(), args.seed);
+      ok = retri::util::parse_int(next(), args.seed);
     } else if (flag == "--raw-seed") {
       args.raw_seed = true;
     } else if (flag == "--out") {
-      const char* value = next();
-      ok = value != nullptr;
-      if (ok) args.out = value;
+      args.out = next();
+      ok = !args.out.empty();
     } else if (flag == "--cache") {
-      const char* value = next();
-      ok = value != nullptr && *value != '\0';
-      if (ok) args.cache = value;
+      args.cache = next();
+      ok = !args.cache.empty();
     } else if (flag == "--verbose" || flag == "-v") {
       args.verbose = true;
     } else {
@@ -158,7 +135,7 @@ std::string soak_json(
   retri::util::JsonWriter json(/*pretty=*/true);
   json.begin_object();
   json.member("schema", "retri.chaos-soak");
-  json.member("schema_version", 1);
+  json.member("schema_version", 2);
 
   json.key("config").begin_object();
   json.member("seeds", args.seeds);
@@ -174,28 +151,16 @@ std::string soak_json(
   json.member("clean_trials", clean);
   json.member("total_trials", records.size());
 
+  // Each trial is its seed plus the memo store's own record encoding.
   json.key("trials").begin_array();
   for (std::size_t i = 0; i < records.size(); ++i) {
-    const auto& record = records[i];
     json.begin_object();
-    json.member("index", i);
     json.member("trial_seed",
                 args.raw_seed && i == 0
                     ? args.seed
                     : retri::runner::derive_trial_seed(args.seed, i));
-    json.member("plan", record.plan);
-    json.member("packets_offered", record.packets_offered);
-    json.member("aff_delivered", record.aff_delivered);
-    json.member("truth_delivered", record.truth_delivered);
-    json.member("crashes", record.crashes);
-    json.member("restarts", record.restarts);
-    json.member("clean", record.clean());
-    json.key("violations").begin_array();
-    for (const std::string& violation : record.violations) {
-      json.value(violation);
-    }
-    json.end_array();
-    json.member("fingerprint", record.fingerprint);
+    json.key("record");
+    retri::serve::write_chaos_record(json, records[i]);
     json.end_object();
   }
   json.end_array();

@@ -16,16 +16,18 @@
 // Exit 0: capture clean; 1: span-stream integrity violations (double ends,
 // unterminated spans, events parented to dead spans); 2: bad arguments or
 // I/O error.
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 
 #include "core/selector.hpp"
 #include "obs/export.hpp"
 #include "runner/observe.hpp"
 #include "runner/seeds.hpp"
+#include "sim/time.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -35,7 +37,7 @@ struct Args {
   std::string policy = "uniform";
   double seconds = 2.0;     // send_duration per trial
   double loss = 0.0;        // channel loss_rate
-  std::string channel = "independent";
+  retri::runner::Channel channel = retri::runner::Channel::kIndependent;
   unsigned trials = 1;
   unsigned jobs = 1;
   unsigned trial = 0;       // which trial's spans to capture
@@ -64,76 +66,51 @@ void usage(std::FILE* to) {
       "2: bad arguments or I/O error.\n");
 }
 
-bool parse_u64(const char* s, std::uint64_t& value) {
-  if (s == nullptr || *s == '\0') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  value = parsed;
-  return true;
-}
-
-bool parse_unsigned(const char* s, unsigned& value) {
-  std::uint64_t wide = 0;
-  if (!parse_u64(s, wide) || wide > 0xffffffffull) return false;
-  value = static_cast<unsigned>(wide);
-  return true;
-}
-
-bool parse_double(const char* s, double& value) {
-  if (s == nullptr || *s == '\0') return false;
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(s, &end);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  value = parsed;
-  return true;
-}
-
 /// Returns 0 on success, 2 on any malformed flag (printed to stderr).
 int parse_args(int argc, char** argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+    // A missing value reads as empty, which every value check rejects.
+    auto next = [&]() -> std::string_view {
+      return i + 1 < argc ? argv[++i] : std::string_view();
     };
     bool ok = true;
     if (flag == "--help" || flag == "-h") {
       usage(stdout);
       std::exit(0);
     } else if (flag == "--senders") {
-      std::uint64_t wide = 0;
-      ok = parse_u64(next(), wide) && wide >= 1 && wide <= 64;
-      args.senders = static_cast<std::size_t>(wide);
+      ok = retri::util::parse_int(next(), args.senders) && args.senders >= 1 &&
+           args.senders <= 64;
     } else if (flag == "--bits") {
-      ok = parse_unsigned(next(), args.bits) && args.bits >= 1 &&
+      ok = retri::util::parse_int(next(), args.bits) && args.bits >= 1 &&
            args.bits <= 16;
     } else if (flag == "--policy") {
-      const char* value = next();
-      ok = value != nullptr;
-      if (ok) args.policy = value;
+      args.policy = next();
+      ok = !args.policy.empty();
     } else if (flag == "--seconds") {
-      ok = parse_double(next(), args.seconds) && args.seconds > 0.0;
+      ok = retri::util::parse_double(next(), args.seconds) &&
+           retri::sim::Duration::fits_positive_seconds(args.seconds);
     } else if (flag == "--loss") {
-      ok = parse_double(next(), args.loss) && args.loss >= 0.0 &&
+      ok = retri::util::parse_double(next(), args.loss) && args.loss >= 0.0 &&
            args.loss < 1.0;
     } else if (flag == "--channel") {
-      const char* value = next();
-      ok = value != nullptr;
-      if (ok) args.channel = value;
+      auto channel = retri::runner::parse_channel(next());
+      if (!channel.ok()) {
+        std::fprintf(stderr, "retri_trace: %s\n", channel.error().c_str());
+        return 2;
+      }
+      args.channel = channel.value();
     } else if (flag == "--trials") {
-      ok = parse_unsigned(next(), args.trials) && args.trials >= 1;
+      ok = retri::util::parse_int(next(), args.trials) && args.trials >= 1;
     } else if (flag == "--jobs") {
-      ok = parse_unsigned(next(), args.jobs) && args.jobs >= 1;
+      ok = retri::util::parse_int(next(), args.jobs) && args.jobs >= 1;
     } else if (flag == "--trial") {
-      ok = parse_unsigned(next(), args.trial);
+      ok = retri::util::parse_int(next(), args.trial);
     } else if (flag == "--seed") {
-      ok = parse_u64(next(), args.seed);
+      ok = retri::util::parse_int(next(), args.seed);
     } else if (flag == "--out") {
-      const char* value = next();
-      ok = value != nullptr;
-      if (ok) args.out = value;
+      args.out = next();
+      ok = !args.out.empty();
     } else if (flag == "--summary") {
       args.summary = true;
     } else {
