@@ -85,10 +85,6 @@ bool try_parse_args(int argc, char** argv, BenchArgs& args,
       args.cache = std::string(value);
     } else if (flag == "--list") {
       args.list = true;
-    } else if (flag == "--micro") {
-      args.micro = true;
-    } else if (flag == "--macro") {
-      args.macro = true;
     } else if (flag == "--csv") {
       args.csv = true;
     } else {
@@ -114,8 +110,6 @@ int reject_retri_bench_flags(const BenchArgs& args, std::FILE* err) {
                      : !args.selector.empty() ? "--selector"
                      : !args.cache.empty()    ? "--cache"
                      : args.list              ? "--list"
-                     : args.micro             ? "--micro"
-                     : args.macro             ? "--macro"
                                               : nullptr;
   if (flag == nullptr) return 0;
   std::fprintf(err, "%s is a retri_bench flag; this binary rejects it\n",

@@ -30,9 +30,9 @@ runner::TrialSummary run_trials(const runner::ExperimentConfig& config,
 /// Parses "--flag value" style overrides shared by the benches:
 /// --trials N, --seconds S, --senders N, --seed X, --jobs N, --out FILE,
 /// --csv, plus the retri_bench-only --sweep NAME, --selector NAME,
-/// --cache DIR, --list, --micro and --macro. Unknown flags and malformed
-/// numeric values are fatal (typos must not silently run the default
-/// experiment); --seconds must convert to a positive sim::Duration.
+/// --cache DIR and --list. Unknown flags and malformed numeric values are
+/// fatal (typos must not silently run the default experiment); --seconds
+/// must convert to a positive sim::Duration.
 struct BenchArgs {
   unsigned trials = 10;
   double seconds = 30.0;
@@ -47,8 +47,6 @@ struct BenchArgs {
   /// the sweep's base selector and its selector axis.
   std::string selector;
   bool list = false;      // retri_bench: list available sweeps
-  bool micro = false;     // retri_bench: run the hot-path micro suite
-  bool macro = false;     // retri_bench: run the mixed-workload macro suite
   /// retri_bench: memo-store directory for --sweep. Trials already in the
   /// store are served instead of simulated; results (and the --out
   /// artifact) are bit-identical to an uncached run.
@@ -75,8 +73,8 @@ int export_result(const std::string& path, const runner::SweepResult& result,
 
 /// Exit-2 guard for the figure/ablation binaries. The shared grammar
 /// accepts retri_bench's own flags everywhere (--sweep, --selector,
-/// --cache, --list, --micro, --macro), and accepting one while silently
-/// ignoring it is the same intent-loss bug class export_result closes.
+/// --cache, --list), and accepting one while silently ignoring it is the
+/// same intent-loss bug class export_result closes.
 /// Returns 0 when none was given; prints the first one found and returns
 /// 2 otherwise.
 int reject_retri_bench_flags(const BenchArgs& args, std::FILE* err);

@@ -12,19 +12,6 @@
 // via runner::ResultSink. Per-trial results — and the JSON file itself —
 // are bit-identical for any --jobs value.
 //
-//   retri_bench --micro [--out BENCH_micro.json]
-//
-// runs the allocation-free hot-path micro suite instead (see micro.hpp);
-// its artifact is what scripts/bench_compare.py gates against the
-// committed bench/BENCH_micro.json baseline.
-//
-//   retri_bench --macro [--out BENCH_macro.json]
-//
-// runs the mixed-workload event-throughput macro benchmark (see
-// macro.hpp): dense 64-node star, RF collisions, half-duplex, churn, and
-// fault injection, reported as events/sec and gated (with a machine-noise
-// tolerance on the time metrics) against bench/BENCH_macro.json.
-//
 //   retri_bench --sweep fig4 --cache .retri-cache
 //
 // memoizes the sweep's trials in an on-disk store (serve::run_cached_sweep):
@@ -37,9 +24,6 @@
 #include <utility>
 
 #include "harness.hpp"
-#include "macro.hpp"
-#include "micro.hpp"
-#include "obs/export.hpp"
 #include "runner/result_sink.hpp"
 #include "runner/sweep.hpp"
 #include "serve/memo.hpp"
@@ -70,78 +54,18 @@ int list_selectors(std::FILE* stream) {
   return 0;
 }
 
-/// Same contract as export_result: exit 2 when `path` cannot be written,
-/// since a zero exit with the artifact silently missing would poison the
-/// bench_compare.py pipeline.
-int write_artifact(const std::string& path, const std::string& json) {
-  std::string error;
-  if (retri::obs::write_text_file(path, json, &error)) return 0;
-  std::fprintf(stderr, "%s\n", error.c_str());
-  return 2;
-}
-
-int run_micro(const retri::bench::BenchArgs& args) {
-  const auto results = retri::bench::run_micro_suite();
-
-  Table table({"benchmark", "ops", "ns/op", "allocs/op"});
-  for (const retri::bench::MicroResult& r : results) {
-    table.row({r.name, std::to_string(r.ops), fmt(r.ns_per_op),
-               r.allocs_per_op < 0 ? std::string("n/a") : fmt(r.allocs_per_op)});
-  }
-  if (args.csv) table.print_csv(std::cout);
-  else table.print(std::cout);
-
-  if (!args.out.empty()) {
-    if (const int status =
-            write_artifact(args.out, retri::bench::micro_to_json(results))) {
-      return status;
-    }
-    std::printf("\nwrote %s (micro schema v%d, %zu benchmarks)\n",
-                args.out.c_str(), retri::bench::kMicroSchemaVersion,
-                results.size());
-  }
-  return 0;
-}
-
-int run_macro(const retri::bench::BenchArgs& args) {
-  const auto results = retri::bench::run_macro_suite();
-
-  Table table({"benchmark", "events", "ns/op", "events/sec", "allocs/op"});
-  for (const retri::bench::MacroResult& r : results) {
-    table.row({r.name, std::to_string(r.ops), fmt(r.ns_per_op),
-               fmt(r.events_per_sec),
-               r.allocs_per_op < 0 ? std::string("n/a") : fmt(r.allocs_per_op)});
-  }
-  if (args.csv) table.print_csv(std::cout);
-  else table.print(std::cout);
-
-  if (!args.out.empty()) {
-    if (const int status =
-            write_artifact(args.out, retri::bench::macro_to_json(results))) {
-      return status;
-    }
-    std::printf("\nwrote %s (macro schema v%d, %zu benchmarks)\n",
-                args.out.c_str(), retri::bench::kMacroSchemaVersion,
-                results.size());
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto args = retri::bench::parse_args(argc, argv);
   if (args.list) return list_sweeps(stdout);
   if (args.selector == "help") return list_selectors(stdout);
-  if (args.micro) return run_micro(args);
-  if (args.macro) return run_macro(args);
   if (args.sweep.empty()) {
     std::fprintf(stderr,
                  "usage: retri_bench --sweep NAME [--jobs N] [--out FILE]\n"
                  "                   [--trials N] [--seconds S] [--senders N]\n"
                  "                   [--seed X] [--selector NAME|help]\n"
-                 "                   [--csv] [--cache DIR] | --list |\n"
-                 "                   --micro | --macro\n\n");
+                 "                   [--csv] [--cache DIR] | --list\n\n");
     list_sweeps(stderr);
     return 2;
   }

@@ -2,7 +2,7 @@
 //
 // Bench output used to be printf tables nothing could diff or track over
 // time; the sink turns a SweepResult into a schema-versioned artifact
-// (BENCH_*.json) carrying the full provenance chain: sweep identity, every
+// (--out FILE) carrying the full provenance chain: sweep identity, every
 // point's concrete config, every trial's result, and the aggregate
 // statistics the paper plots. Configs and trial results are written in
 // runner/codec.hpp's encoding, the same bytes the memo store keys and

@@ -1,4 +1,4 @@
-// Heap-allocation counter for perf tests and the micro bench suite.
+// Heap-allocation counter for the allocation-budget tests and perfbench.
 //
 // The counter itself is always available (a process-wide atomic); the
 // operator-new replacement that increments it lives in alloc_hook.cpp,
@@ -6,7 +6,7 @@
 // archive member whose only exports are operator new/delete is never pulled
 // in by the linker, so it would silently count nothing. Targets opt in by
 // listing src/util/alloc_hook.cpp directly in their sources (see
-// retri_alloc_tests and retri_bench in CMake). alloc_hook_active() probes
+// retri_alloc_tests and retri_perfbench). alloc_hook_active() probes
 // at runtime whether the replacement is actually linked, so consumers can
 // distinguish "zero allocations" from "nobody is counting".
 #pragma once

@@ -1,7 +1,7 @@
 // Minimal recursive-descent JSON parser — the read half of util/json.hpp.
 //
 // Until retri::serve, every artifact the repo produced was write-only: the
-// JsonWriter emitted BENCH_*.json / trace files and external tools consumed
+// JsonWriter emitted sweep and trace files and external tools consumed
 // them. The memo store closes the loop — its cache entries (and the result
 // bodies and metrics objects inside them) are JSON this process must read
 // back — so the container policy's "no new dependencies" rule buys us a

@@ -64,9 +64,14 @@ TEST(ParseArgs, JobsAndOutRoundTrip) {
 }
 
 TEST(ParseArgs, UnknownFlagIsFatal) {
-  const auto outcome = parse({"--trails", "10"});  // typo'd --trials
-  EXPECT_FALSE(outcome.ok);
-  EXPECT_NE(outcome.error.find("--trails"), std::string::npos);
+  // A typo'd --trials, and --micro/--macro, which are not flags: a script
+  // still passing one must exit 2 rather than run a sweep or the default.
+  for (const std::string flag : {"--trails", "--micro", "--macro"}) {
+    const auto outcome = parse({flag, "10"});
+    EXPECT_FALSE(outcome.ok) << flag;
+    EXPECT_NE(outcome.error.find("unknown flag: " + flag), std::string::npos)
+        << outcome.error;
+  }
 }
 
 TEST(ParseArgs, MissingValueIsFatal) {
@@ -227,7 +232,7 @@ TEST(RequireNoOut, RejectsIgnoredOutWithStatus2AndRedirect) {
   // retri_bench's own flags are refused the same way, each by name.
   const std::vector<std::vector<std::string>> retri_bench_only = {
       {"--sweep", "fig4"}, {"--selector", "uniform"}, {"--cache", "memo"},
-      {"--list"},          {"--micro"},               {"--macro"}};
+      {"--list"}};
   for (const std::vector<std::string>& tokens : retri_bench_only) {
     const auto outcome = parse(tokens);
     ASSERT_TRUE(outcome.ok) << outcome.error;

@@ -109,6 +109,12 @@ TEST(LintRules, FlagsWallClockReads) {
       "}\n");
   EXPECT_EQ(vs.size(), 3u);
   EXPECT_TRUE(has_violation(vs, "no-wall-clock"));
+
+  // No directory is exempt, src/util/ included.
+  EXPECT_TRUE(has_violation(
+      scan("src/util/timer.hpp",
+           "inline auto now() { return std::chrono::steady_clock::now(); }\n"),
+      "no-wall-clock"));
 }
 
 TEST(LintRules, WallClockDoesNotMatchSimulatedTimeNames) {
@@ -353,7 +359,7 @@ TEST(LintScope, ScopePrefixesRestrictWhereARuleApplies) {
   EXPECT_TRUE(lint::rule_applies(*hot, "src/sim/engine.cpp"));
   EXPECT_TRUE(lint::rule_applies(*hot, "src/core/identifier.hpp"));
   EXPECT_FALSE(lint::rule_applies(*hot, "src/aff/driver.cpp"));
-  EXPECT_FALSE(lint::rule_applies(*hot, "bench/micro.cpp"));
+  EXPECT_FALSE(lint::rule_applies(*hot, "bench/retri_bench.cpp"));
 
   // Rules without scope_prefixes keep their applies-everywhere default.
   const lint::Rule* rand_rule = find_rule("no-unseeded-rand");

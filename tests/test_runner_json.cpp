@@ -1,4 +1,4 @@
-// util::JsonWriter — the hand-rolled emitter behind BENCH_*.json.
+// util::JsonWriter — the hand-rolled emitter behind every JSON artifact.
 #include <cmath>
 #include <limits>
 

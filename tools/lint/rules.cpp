@@ -50,10 +50,10 @@ std::vector<Rule> make_default_rules() {
       "no-wall-clock",
       RuleKind::kBannedTokens,
       "*_clock :: now | time (",
-      {"src/util/"},
       {},
-      "wall-clock reads make sim/core/runner results depend on host timing; "
-      "simulated time flows through sim::Clock (src/sim/time.hpp)",
+      {},
+      "wall-clock reads make results depend on host timing; simulated time "
+      "flows through sim::TimePoint and sim::Duration (src/util/time.hpp)",
       {}});
 
   rules.push_back(Rule{
