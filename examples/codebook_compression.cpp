@@ -89,7 +89,7 @@ int main() {
   apps::CodebookDecoder decoder(/*capacity=*/32);
   std::uint64_t readings_resolved = 0;
   std::uint64_t readings_unresolvable = 0;
-  subscriber.set_packet_handler([&](const util::Bytes& packet) {
+  subscriber.set_packet_handler([&](util::BytesView packet) {
     const auto msg = apps::decode_codebook_message(kCodeBits, packet);
     if (!msg) return;
     if (msg->kind == apps::CodebookMessage::Kind::kDefinition) {

@@ -39,7 +39,7 @@ int main() {
   aff::AffDriver sender(tx_radio, tx_selector, config, /*node_uid=*/100);
   aff::AffDriver receiver(rx_radio, rx_selector, config, /*node_uid=*/101);
 
-  receiver.set_packet_handler([&](const util::Bytes& packet) {
+  receiver.set_packet_handler([&](util::BytesView packet) {
     std::printf("received %zu bytes at t = %.1f ms  (first bytes: %s ...)\n",
                 packet.size(), sim.now().to_seconds() * 1e3,
                 util::to_hex({packet.data(), 4}).c_str());

@@ -1,6 +1,5 @@
 #include "aff/driver.hpp"
 
-#include <cassert>
 #include <memory>
 #include <string>
 
@@ -24,6 +23,23 @@ std::string node_prefix(sim::NodeId node) {
   return out;
 }
 
+/// validated(config), plus the check that the selector draws ids exactly
+/// as wide as the wire carries: a wider selector's ids would be silently
+/// masked on the wire.
+AffDriverConfig validated_for(const core::IdSelector& selector,
+                              AffDriverConfig config) {
+  validated(config);
+  const unsigned selector_bits = selector.space().bits();
+  if (selector_bits != config.wire.id_bits) {
+    util::Validator{"AffDriverConfig"}.fail(
+        "wire.id_bits",
+        "equal the selector's id width of " + std::to_string(selector_bits) +
+            " bits",
+        std::to_string(config.wire.id_bits));
+  }
+  return config;
+}
+
 }  // namespace
 
 AffDriverConfig validated(AffDriverConfig config) {
@@ -40,7 +56,7 @@ AffDriver::AffDriver(radio::Radio& radio, core::IdSelector& selector,
                      obs::Hooks hooks)
     : radio_(radio),
       selector_(selector),
-      config_(validated(config)),
+      config_(validated_for(selector, config)),
       owned_metrics_(hooks.metrics != nullptr
                          ? nullptr
                          : std::make_unique<obs::MetricsRegistry>()),
@@ -51,23 +67,26 @@ AffDriver::AffDriver(radio::Radio& radio, core::IdSelector& selector,
                                      config.max_reassembly_entries},
                    obs::Hooks{metrics_, spans_},
                    node_prefix(radio.node()) + "rx.", radio.node()),
-      truth_reassembler_(ReassemblerConfig{config.reassembly_timeout,
-                                           config.max_reassembly_entries},
-                         obs::Hooks{metrics_, spans_},
-                         node_prefix(radio.node()) + "truth.", radio.node()),
+      truth_reassembler_(
+          config.truth_reassembly
+              ? std::make_unique<Reassembler>(
+                    ReassemblerConfig{config.reassembly_timeout,
+                                      config.max_reassembly_entries},
+                    obs::Hooks{metrics_, spans_},
+                    node_prefix(radio.node()) + "truth.", radio.node())
+              : nullptr),
       density_(core::make_density_model(config.density_model)),
       node_uid_(node_uid),
       alive_(std::make_shared<bool>(true)) {
-  assert(selector_.space().bits() == config_.wire.id_bits &&
-         "selector space and wire id width must agree");
-
   const std::string prefix = node_prefix(radio_.node());
   counters_.packets_sent = metrics_->counter(prefix + "packets_sent");
   counters_.fragments_sent = metrics_->counter(prefix + "fragments_sent");
   counters_.send_failures = metrics_->counter(prefix + "send_failures");
   counters_.packets_delivered = metrics_->counter(prefix + "packets_delivered");
-  counters_.truth_packets_delivered =
-      metrics_->counter(prefix + "truth_packets_delivered");
+  if (truth_reassembler_ != nullptr) {
+    counters_.truth_packets_delivered =
+        metrics_->counter(prefix + "truth_packets_delivered");
+  }
   counters_.notifications_sent =
       metrics_->counter(prefix + "notifications_sent");
   counters_.notifications_heard =
@@ -85,7 +104,7 @@ AffDriver::AffDriver(radio::Radio& radio, core::IdSelector& selector,
     on_frame(from, frame);
   });
 
-  reassembler_.set_deliver([this](std::uint64_t, const util::Bytes& packet) {
+  reassembler_.set_deliver([this](std::uint64_t, util::BytesView packet) {
     counters_.packets_delivered.inc();
     if (on_packet_) on_packet_(packet);
   });
@@ -96,10 +115,13 @@ AffDriver::AffDriver(radio::Radio& radio, core::IdSelector& selector,
     push_density_to_selector();
   });
 
-  truth_reassembler_.set_deliver([this](std::uint64_t, const util::Bytes& packet) {
-    counters_.truth_packets_delivered.inc();
-    if (on_truth_packet_) on_truth_packet_(packet);
-  });
+  if (truth_reassembler_ != nullptr) {
+    truth_reassembler_->set_deliver(
+        [this](std::uint64_t, util::BytesView packet) {
+          counters_.truth_packets_delivered.inc();
+          if (on_truth_packet_) on_truth_packet_(packet);
+        });
+  }
 }
 
 AffDriverStatsSnapshot AffDriver::stats() const noexcept {
@@ -118,18 +140,23 @@ AffDriverStatsSnapshot AffDriver::stats() const noexcept {
 AffDriver::~AffDriver() { *alive_ = false; }
 
 void AffDriver::ensure_expiry_timer() {
-  if (expiry_timer_.pending()) return;
+  if (expiry_armed_) return;
   if (reassembler_.pending_count() == 0 &&
-      truth_reassembler_.pending_count() == 0) {
+      (truth_reassembler_ == nullptr ||
+       truth_reassembler_->pending_count() == 0)) {
     return;
   }
+  expiry_armed_ = true;
   const sim::Duration period = config_.reassembly_timeout / 2;
   std::weak_ptr<bool> alive = alive_;
-  expiry_timer_ = radio_.simulator().schedule_after(period, [this, alive]() {
+  radio_.simulator().schedule_after(period, [this, alive]() {
     const auto flag = alive.lock();
     if (!flag || !*flag) return;
+    expiry_armed_ = false;
     reassembler_.expire(radio_.simulator().now());
-    truth_reassembler_.expire(radio_.simulator().now());
+    if (truth_reassembler_ != nullptr) {
+      truth_reassembler_->expire(radio_.simulator().now());
+    }
     ensure_expiry_timer();
   });
 }
@@ -216,7 +243,7 @@ void AffDriver::note_transaction_begin(core::TransactionId id) {
 }
 
 void AffDriver::maybe_notify_collision(std::uint64_t key) {
-  const std::uint64_t conflicts = reassembler_.stats().conflicting_writes;
+  const std::uint64_t conflicts = reassembler_.conflicting_writes();
   if (conflicts == prev_conflicting_writes_) return;
   prev_conflicting_writes_ = conflicts;
   if (!config_.send_collision_notifications) return;
@@ -232,9 +259,9 @@ void AffDriver::handle_intro(const IntroFragment& intro,
   reassembler_.on_intro(key, intro.total_len, intro.checksum,
                         radio_.simulator().now());
   maybe_notify_collision(key);
-  if (config_.wire.instrumented && true_id) {
-    truth_reassembler_.on_intro(*true_id, intro.total_len, intro.checksum,
-                                radio_.simulator().now());
+  if (truth_reassembler_ != nullptr && true_id) {
+    truth_reassembler_->on_intro(*true_id, intro.total_len, intro.checksum,
+                                 radio_.simulator().now());
   }
   ensure_expiry_timer();
 }
@@ -246,9 +273,9 @@ void AffDriver::handle_data(const DataFragment& data,
   // introduced entry is an orphan the reassembler drops.
   reassembler_.on_data(key, data.offset, data.payload, radio_.simulator().now());
   maybe_notify_collision(key);
-  if (config_.wire.instrumented && true_id) {
-    truth_reassembler_.on_data(*true_id, data.offset, data.payload,
-                               radio_.simulator().now());
+  if (truth_reassembler_ != nullptr && true_id) {
+    truth_reassembler_->on_data(*true_id, data.offset, data.payload,
+                                radio_.simulator().now());
   }
   ensure_expiry_timer();
 }

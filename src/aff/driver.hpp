@@ -50,6 +50,11 @@ struct AffDriverConfig {
   bool adaptive_density = true;
   /// Which transaction-density estimator to run (DESIGN.md ablation C').
   core::DensityModelKind density_model = core::DensityModelKind::kEwma;
+  /// Run the instrumented ground-truth reassembly (§5.1) on frames that
+  /// carry a guaranteed-unique packet id. Off, the driver builds no truth
+  /// Reassembler and registers none of its "n<node>.aff.truth*" metrics;
+  /// runner::Star turns it off at senders, whose truth nothing reads.
+  bool truth_reassembly = true;
 };
 
 /// Checks an AffDriverConfig's invariants: wire.id_bits in [1, 64],
@@ -74,13 +79,18 @@ struct AffDriverStatsSnapshot {
 
 class AffDriver {
  public:
-  using PacketHandler = std::function<void(const util::Bytes& packet)>;
+  /// Receives a delivered packet as a view valid only during the call; a
+  /// handler that keeps the packet copies it.
+  using PacketHandler = std::function<void(util::BytesView packet)>;
 
   /// `node_uid` is this node's guaranteed-unique identifier — in the
   /// paper's terms the long static id that exists but is deliberately NOT
   /// sent per packet except in instrumented mode.
   ///
-  /// `hooks` wires the driver, both reassemblers, and the selector into a
+  /// `selector`'s id width must equal config.wire.id_bits, or the
+  /// constructor throws std::invalid_argument.
+  ///
+  /// `hooks` wires the driver, its reassemblers, and the selector into a
   /// shared metrics registry under per-node prefixes ("n<node>.aff.",
   /// "n<node>.aff.rx.", "n<node>.aff.truth.", "n<node>.selector.") and,
   /// when hooks.spans is set, records one transaction span per sent packet
@@ -108,7 +118,10 @@ class AffDriver {
   util::Result<core::TransactionId, SendError> send_packet(util::BytesView packet);
 
   const Reassembler& aff_reassembler() const noexcept { return reassembler_; }
-  const Reassembler& truth_reassembler() const noexcept { return truth_reassembler_; }
+  /// The ground-truth reassembler; null when config.truth_reassembly is off.
+  const Reassembler* truth_reassembler() const noexcept {
+    return truth_reassembler_.get();
+  }
   /// Snapshot of the tallies, BY VALUE (see AffDriverStatsSnapshot).
   AffDriverStatsSnapshot stats() const noexcept;
   const AffDriverConfig& config() const noexcept { return config_; }
@@ -149,13 +162,14 @@ class AffDriver {
   AffDriverConfig config_;
   // Observability members precede the reassemblers: the member-init list
   // resolves hooks (falling back to owned_metrics_) before constructing
-  // them, so both reassemblers can register under per-node prefixes.
+  // them, so the reassemblers can register under per-node prefixes.
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // fallback registry
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::SpanRecorder* spans_ = nullptr;
   Fragmenter fragmenter_;
-  Reassembler reassembler_;        // keyed by AFF identifier value
-  Reassembler truth_reassembler_;  // keyed by guaranteed-unique packet id
+  Reassembler reassembler_;  // keyed by AFF identifier value
+  // Keyed by guaranteed-unique packet id; null without truth_reassembly.
+  std::unique_ptr<Reassembler> truth_reassembler_;
   std::unique_ptr<core::DensityModel> density_;
   std::uint64_t node_uid_;
   std::uint64_t next_packet_seq_ = 0;
@@ -163,7 +177,8 @@ class AffDriver {
   PacketHandler on_packet_;
   PacketHandler on_truth_packet_;
   Counters counters_;
-  sim::EventHandle expiry_timer_;
+  // Set while an expiry timer is scheduled; the timer clears it on firing.
+  bool expiry_armed_ = false;
   // Liveness flag captured (weakly) by timer callbacks so events that fire
   // after the driver is destroyed become no-ops instead of dangling.
   std::shared_ptr<bool> alive_;

@@ -1,6 +1,8 @@
 #include "aff/reassembler.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <utility>
 
 #include "util/checksum.hpp"
@@ -67,8 +69,8 @@ ReassemblerStatsSnapshot Reassembler::stats() const noexcept {
 }
 
 obs::SpanId Reassembler::span_of(std::uint64_t key) const {
-  const auto it = entries_.find(key);
-  return it != entries_.end() ? it->second.span : obs::SpanId::none();
+  const Slot slot = find(key);
+  return slot != kNoSlot ? slots_[slot].span : obs::SpanId::none();
 }
 
 void Reassembler::fragment_instant(const char* name, const Entry& entry,
@@ -78,83 +80,188 @@ void Reassembler::fragment_instant(const char* name, const Entry& entry,
                   static_cast<std::uint64_t>(bytes));
 }
 
-Reassembler::Entry& Reassembler::touch(std::uint64_t key, sim::TimePoint now) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    if (entries_.size() >= config_.max_entries) {
-      // Evict the least recently updated packet to bound memory — a real
-      // driver on a sensor node has a small fixed reassembly table.
-      close(lru_.front(), CloseReason::kEvicted, now);
-    }
-    it = entries_.emplace(key, Entry{}).first;
-    it->second.lru_pos = lru_.insert(lru_.end(), key);
-    if (spans_ != nullptr) {
-      it->second.span = spans_->begin("reassembly", "aff", track_, now);
-      spans_->annotate(it->second.span, "key", key);
-    }
-    counters_.pending.set(static_cast<std::int64_t>(entries_.size()));
-  } else {
-    lru_.splice(lru_.end(), lru_, it->second.lru_pos);
-  }
-  it->second.last_update = now;
-  return it->second;
+// --- key -> slot index --------------------------------------------------
+
+std::size_t Reassembler::home(std::uint64_t key) const noexcept {
+  // Fibonacci hashing: the top bits of key * 2^64/phi spread both small AFF
+  // ids and (node << 32 | seq) ground-truth ids over the table.
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >>
+                                  index_shift_);
 }
 
-void Reassembler::close(std::uint64_t key, CloseReason reason,
-                        sim::TimePoint now) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return;
+Reassembler::Slot Reassembler::find(std::uint64_t key) const noexcept {
+  if (index_.empty()) return kNoSlot;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = home(key);; i = (i + 1) & mask) {
+    const Slot slot = index_[i];
+    if (slot == kNoSlot || slots_[slot].key == key) return slot;
+  }
+}
+
+void Reassembler::index_insert(Slot slot) {
+  if (2 * (live_ + 1) > index_.size()) {
+    std::vector<Slot> old = std::move(index_);
+    const std::size_t size = old.empty() ? 16 : 2 * old.size();
+    index_.assign(size, kNoSlot);
+    index_shift_ = 64 - static_cast<unsigned>(std::countr_zero(size));
+    for (const Slot s : old) {
+      if (s != kNoSlot) index_insert(s);
+    }
+  }
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = home(slots_[slot].key);
+  while (index_[i] != kNoSlot) i = (i + 1) & mask;
+  index_[i] = slot;
+}
+
+void Reassembler::index_erase(std::uint64_t key) noexcept {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = home(key);
+  while (slots_[index_[hole]].key != key) hole = (hole + 1) & mask;
+  // Backward shift: pull each later cell of the probe run into the hole
+  // unless that would move it before its home cell.
+  for (std::size_t j = (hole + 1) & mask; index_[j] != kNoSlot;
+       j = (j + 1) & mask) {
+    const std::size_t h = home(slots_[index_[j]].key);
+    if (((j - h) & mask) >= ((j - hole) & mask)) {
+      index_[hole] = index_[j];
+      hole = j;
+    }
+  }
+  index_[hole] = kNoSlot;
+}
+
+// --- LRU list -----------------------------------------------------------
+
+void Reassembler::lru_unlink(Slot slot) noexcept {
+  Entry& e = slots_[slot];
+  (e.prev != kNoSlot ? slots_[e.prev].next : lru_head_) = e.next;
+  (e.next != kNoSlot ? slots_[e.next].prev : lru_tail_) = e.prev;
+  e.prev = e.next = kNoSlot;
+}
+
+void Reassembler::lru_append(Slot slot) noexcept {
+  Entry& e = slots_[slot];
+  e.prev = lru_tail_;
+  e.next = kNoSlot;
+  (lru_tail_ != kNoSlot ? slots_[lru_tail_].next : lru_head_) = slot;
+  lru_tail_ = slot;
+}
+
+// --- entry lifecycle ----------------------------------------------------
+
+Reassembler::Slot Reassembler::open(std::uint64_t key, sim::TimePoint now) {
+  if (live_ >= config_.max_entries) {
+    // Evict the least recently updated packet to bound memory — a real
+    // driver on a sensor node has a small fixed reassembly table.
+    close(lru_head_, CloseReason::kEvicted, now);
+  }
+  Slot slot = free_head_;
+  if (slot != kNoSlot) {
+    free_head_ = slots_[slot].next;
+  } else {
+    slot = static_cast<Slot>(slots_.size());
+    slots_.emplace_back();
+  }
+  Entry& e = slots_[slot];
+  e.key = key;
+  e.total_len = 0;
+  e.checksum = 0;
+  e.covered = 0;
+  e.span = obs::SpanId::none();
+  lru_append(slot);
+  index_insert(slot);
+  ++live_;
+  if (spans_ != nullptr) {
+    e.span = spans_->begin("reassembly", "aff", track_, now);
+    spans_->annotate(e.span, "key", key);
+  }
+  counters_.pending.set(static_cast<std::int64_t>(live_));
+  return slot;
+}
+
+void Reassembler::touch(Slot slot, sim::TimePoint now) {
+  if (slot != lru_tail_) {
+    lru_unlink(slot);
+    lru_append(slot);
+  }
+  slots_[slot].last_update = now;
+}
+
+void Reassembler::close(Slot slot, CloseReason reason, sim::TimePoint now) {
+  Entry& e = slots_[slot];
+  const std::uint64_t key = e.key;
   switch (reason) {
     case CloseReason::kDelivered: counters_.delivered.inc(); break;
     case CloseReason::kChecksumFailed: counters_.checksum_failed.inc(); break;
     case CloseReason::kTimeout: counters_.timeouts.inc(); break;
     case CloseReason::kEvicted: counters_.evicted.inc(); break;
   }
-  if (spans_ != nullptr && it->second.span.valid()) {
-    spans_->end(it->second.span, now, std::string(to_string(reason)));
+  if (spans_ != nullptr && e.span.valid()) {
+    spans_->end(e.span, now, to_string(reason));
   }
-  lru_.erase(it->second.lru_pos);
-  entries_.erase(it);
-  counters_.pending.set(static_cast<std::int64_t>(entries_.size()));
+  lru_unlink(slot);
+  index_erase(key);
+  // clear() keeps capacity: the next entry in this slot reuses the buffers.
+  e.bytes.clear();
+  e.have.clear();
+  e.next = free_head_;
+  free_head_ = slot;
+  --live_;
+  counters_.pending.set(static_cast<std::int64_t>(live_));
   if (closed_) closed_(key);
 }
 
 void Reassembler::write_bytes(Entry& entry, std::size_t offset,
                               util::BytesView payload) {
-  const std::size_t extent = offset + payload.size();
-  if (entry.bytes.size() < extent) {
-    entry.bytes.resize(extent, 0);
-    entry.have.resize(extent, false);
+  const std::size_t end = offset + payload.size();
+  if (entry.bytes.size() < end) {
+    entry.bytes.resize(end, 0);
+    entry.have.resize((end + 63) / 64, 0);
   }
+  // Walk the coverage bitmap one 64-bit word at a time: bytes already
+  // covered are compared against the payload (a difference is a
+  // conflict), the rest are newly covered.
   bool conflicted = false;
-  bool all_duplicate = !payload.empty();
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    const std::size_t pos = offset + i;
-    if (entry.have[pos]) {
-      if (entry.bytes[pos] != payload[i]) conflicted = true;
+  std::size_t fresh = 0;
+  for (std::size_t pos = offset; pos < end;) {
+    const std::size_t word = pos / 64;
+    const std::size_t bit = pos % 64;
+    const std::size_t n = std::min(64 - bit, end - pos);
+    const std::uint64_t mask = (n == 64 ? ~0ULL : (1ULL << n) - 1) << bit;
+    const std::uint64_t seen = entry.have[word] & mask;
+    if (seen == mask) {
+      conflicted = conflicted ||
+                   std::memcmp(entry.bytes.data() + pos,
+                               payload.data() + (pos - offset), n) != 0;
     } else {
-      entry.have[pos] = true;
-      ++entry.covered;
-      all_duplicate = false;
+      for (std::uint64_t m = seen; m != 0 && !conflicted; m &= m - 1) {
+        const std::size_t at =
+            word * 64 + static_cast<std::size_t>(std::countr_zero(m));
+        conflicted = entry.bytes[at] != payload[at - offset];
+      }
+      fresh += static_cast<std::size_t>(std::popcount(mask & ~seen));
+      entry.have[word] |= mask;
     }
-    entry.bytes[pos] = payload[i];  // last write wins, like the real driver
+    pos += n;
   }
+  // Last write wins, like the real driver.
+  std::copy(payload.begin(), payload.end(),
+            entry.bytes.begin() + static_cast<std::ptrdiff_t>(offset));
+  entry.covered += fresh;
   if (conflicted) counters_.conflicting_writes.inc();
-  else if (all_duplicate) counters_.duplicate_fragments.inc();
+  else if (fresh == 0) counters_.duplicate_fragments.inc();
 }
 
-void Reassembler::maybe_complete(std::uint64_t key, Entry& entry,
-                                 sim::TimePoint now) {
-  if (!entry.have_intro) return;
+void Reassembler::maybe_complete(Slot slot, sim::TimePoint now) {
+  const Entry& entry = slots_[slot];
   if (entry.covered < entry.total_len) return;
   // All bytes of the announced length are present. Bytes beyond total_len
   // (from a colliding longer packet) are ignored; the checksum decides.
   const util::BytesView packet(entry.bytes.data(), entry.total_len);
   const bool valid = util::crc32(packet) == entry.checksum;
-  if (valid && deliver_) {
-    deliver_(key, util::Bytes(packet.begin(), packet.end()));
-  }
-  close(key, valid ? CloseReason::kDelivered : CloseReason::kChecksumFailed,
+  if (valid && deliver_) deliver_(entry.key, packet);
+  close(slot, valid ? CloseReason::kDelivered : CloseReason::kChecksumFailed,
         now);
 }
 
@@ -166,10 +273,13 @@ void Reassembler::on_intro(std::uint64_t key, std::uint16_t total_len,
     return;
   }
   counters_.accepted_fragments.inc();
-  Entry& entry = touch(key, now);
+  Slot slot = find(key);
+  const bool fresh = slot == kNoSlot;
+  if (fresh) slot = open(key, now);
+  touch(slot, now);
+  Entry& entry = slots_[slot];
   fragment_instant("frag_intro", entry, now, 0);
-  if (entry.have_intro &&
-      (entry.total_len != total_len || entry.checksum != checksum)) {
+  if (!fresh && (entry.total_len != total_len || entry.checksum != checksum)) {
     // A second, different introduction under the same key. Either an
     // identifier collision between two *concurrent* packets, or ordinary
     // sequential reuse of the identifier (a new transaction). The driver
@@ -183,10 +293,9 @@ void Reassembler::on_intro(std::uint64_t key, std::uint16_t total_len,
     entry.have.clear();
     entry.covered = 0;
   }
-  entry.have_intro = true;
   entry.total_len = total_len;
   entry.checksum = checksum;
-  maybe_complete(key, entry, now);
+  maybe_complete(slot, now);
 }
 
 void Reassembler::on_data(std::uint64_t key, std::uint16_t offset,
@@ -197,25 +306,24 @@ void Reassembler::on_data(std::uint64_t key, std::uint16_t offset,
     counters_.malformed.inc();
     return;
   }
-  const auto it = entries_.find(key);
-  if (it == entries_.end() || !it->second.have_intro) {
+  const Slot slot = find(key);
+  if (slot == kNoSlot) {
     counters_.orphan_fragments.inc();
     return;
   }
   counters_.accepted_fragments.inc();
-  Entry& entry = touch(key, now);
+  touch(slot, now);
+  Entry& entry = slots_[slot];
   fragment_instant("frag_data", entry, now, payload.size());
   write_bytes(entry, offset, payload);
-  maybe_complete(key, entry, now);
+  maybe_complete(slot, now);
 }
 
 void Reassembler::expire(sim::TimePoint now) {
-  while (!lru_.empty()) {
-    // LRU order is also idle order: front is the longest-idle entry.
-    const std::uint64_t key = lru_.front();
-    const Entry& entry = entries_.at(key);
-    if (now - entry.last_update < config_.timeout) break;
-    close(key, CloseReason::kTimeout, now);
+  // LRU order is also idle order: the head is the longest-idle entry.
+  while (lru_head_ != kNoSlot &&
+         now - slots_[lru_head_].last_update >= config_.timeout) {
+    close(lru_head_, CloseReason::kTimeout, now);
   }
 }
 

@@ -11,14 +11,21 @@
 // receiver keys by the AFF identifier; the instrumented ground-truth pass
 // (§5.1) keys a second Reassembler by the guaranteed-unique packet id. The
 // algorithm is identical either way, which is exactly the paper's point.
+//
+// Every frame a node hears passes through here, so steady-state reassembly
+// allocates nothing: entries live in a slot slab that grows on demand up to
+// max_entries and recycles closed slots with their buffers' capacity; a
+// key finds its slot through an open-addressed index; coverage is a bitmap
+// checked 64 bytes per word; and the LRU list is threaded through the
+// slots. Delivery hands the handler a view into the slot's buffer.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -79,8 +86,12 @@ struct ReassemblerStatsSnapshot {
 
 class Reassembler {
  public:
-  /// Invoked with the verified packet when reassembly completes.
-  using DeliverFn = std::function<void(std::uint64_t key, const util::Bytes&)>;
+  /// Invoked with the verified packet when reassembly completes. The view
+  /// points into the entry's buffer and is valid only during the call; a
+  /// handler that keeps the packet copies it. The handler must not feed
+  /// this Reassembler.
+  using DeliverFn =
+      std::function<void(std::uint64_t key, util::BytesView packet)>;
   /// Invoked whenever an entry closes for any reason (delivered, checksum
   /// failure, timeout, eviction). Drives transaction-density bookkeeping.
   using ClosedFn = std::function<void(std::uint64_t key)>;
@@ -118,24 +129,42 @@ class Reassembler {
   void expire(sim::TimePoint now);
 
   /// True if a packet under `key` is currently being reassembled.
-  bool pending(std::uint64_t key) const { return entries_.contains(key); }
-  std::size_t pending_count() const noexcept { return entries_.size(); }
+  bool pending(std::uint64_t key) const noexcept { return find(key) != kNoSlot; }
+  std::size_t pending_count() const noexcept { return live_; }
   /// Snapshot of the tallies, BY VALUE (see ReassemblerStatsSnapshot).
   ReassemblerStatsSnapshot stats() const noexcept;
+  /// The conflicting-writes tally alone, for per-frame callers that would
+  /// otherwise build a whole stats() snapshot to read one field.
+  std::uint64_t conflicting_writes() const noexcept {
+    return counters_.conflicting_writes.value();
+  }
   /// Span id of the open reassembly under `key`; none() when untracked.
   obs::SpanId span_of(std::uint64_t key) const;
 
  private:
+  /// Index of an entry in slots_; kNoSlot marks an empty index cell and the
+  /// ends of the LRU and free lists.
+  using Slot = std::uint32_t;
+  static constexpr Slot kNoSlot = 0xffffffffu;
+
+  /// One reassembly entry. A closed entry's slot goes on the free list and
+  /// keeps its buffers' capacity, so steady-state reassembly allocates
+  /// nothing.
   struct Entry {
-    bool have_intro = false;
+    std::uint64_t key = 0;
     std::uint16_t total_len = 0;
     std::uint32_t checksum = 0;
-    util::Bytes bytes;          // grows to the max extent seen
-    std::vector<bool> have;     // per-byte coverage
-    std::size_t covered = 0;
+    /// Packet bytes; size() is the furthest extent written. Grown with
+    /// resize(), so bytes never written read as zero.
+    util::Bytes bytes;
+    /// Coverage bitmap, one bit per byte of `bytes`; bits past the extent
+    /// are always clear.
+    std::vector<std::uint64_t> have;
+    std::size_t covered = 0;  // set bits in `have`, past total_len included
     sim::TimePoint last_update;
-    std::list<std::uint64_t>::iterator lru_pos;
-    obs::SpanId span;           // open reassembly span, none() when unhooked
+    Slot prev = kNoSlot;  // LRU neighbours; `next` also links the free list
+    Slot next = kNoSlot;
+    obs::SpanId span;     // open reassembly span, none() when unhooked
   };
 
   /// Registry-backed counter handles, one per snapshot field, plus the
@@ -154,14 +183,30 @@ class Reassembler {
     obs::Gauge pending;
   };
 
-  Entry& touch(std::uint64_t key, sim::TimePoint now);
+  /// Creates the entry for a new `key`, evicting the least recently
+  /// updated entry first when the table is full.
+  Slot open(std::uint64_t key, sim::TimePoint now);
+  /// Marks `slot` most recently updated at `now`.
+  void touch(Slot slot, sim::TimePoint now);
   /// The single exit point of the entry table: counts by reason, ends the
-  /// entry's span with the reason as outcome, and notifies closed_.
-  void close(std::uint64_t key, CloseReason reason, sim::TimePoint now);
-  void maybe_complete(std::uint64_t key, Entry& entry, sim::TimePoint now);
+  /// entry's span with the reason as outcome, unlinks and frees the slot,
+  /// and notifies closed_.
+  void close(Slot slot, CloseReason reason, sim::TimePoint now);
+  void maybe_complete(Slot slot, sim::TimePoint now);
   void write_bytes(Entry& entry, std::size_t offset, util::BytesView payload);
   void fragment_instant(const char* name, const Entry& entry,
                         sim::TimePoint now, std::size_t bytes);
+
+  // LRU list (least recently updated at lru_head_).
+  void lru_unlink(Slot slot) noexcept;
+  void lru_append(Slot slot) noexcept;
+
+  // Open-addressed key -> slot index: linear probing over a power-of-two
+  // table kept at most half full, backward-shift deletion (no tombstones).
+  std::size_t home(std::uint64_t key) const noexcept;
+  Slot find(std::uint64_t key) const noexcept;
+  void index_insert(Slot slot);
+  void index_erase(std::uint64_t key) noexcept;
 
   ReassemblerConfig config_;
   DeliverFn deliver_;
@@ -170,8 +215,14 @@ class Reassembler {
   obs::SpanRecorder* spans_ = nullptr;
   std::uint32_t track_ = 0;
   Counters counters_;
-  std::unordered_map<std::uint64_t, Entry> entries_;
-  std::list<std::uint64_t> lru_;  // least recently updated at front
+  /// Entry slab, grown on demand up to config_.max_entries.
+  std::vector<Entry> slots_;
+  Slot free_head_ = kNoSlot;
+  Slot lru_head_ = kNoSlot;
+  Slot lru_tail_ = kNoSlot;
+  std::size_t live_ = 0;
+  std::vector<Slot> index_;  // empty until the first entry opens
+  unsigned index_shift_ = 64;  // 64 - log2(index_.size())
 };
 
 }  // namespace retri::aff

@@ -1,7 +1,7 @@
 #include "net/addressed_frag.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <string>
 
 #include "util/bitops.hpp"
 #include "util/checksum.hpp"
@@ -12,6 +12,19 @@ namespace {
 
 constexpr std::uint8_t kIntroKind = 0x11;
 constexpr std::uint8_t kDataKind = 0x12;
+
+/// validated(config), plus the check that `source` fits the wire's
+/// addr_bits: a wider address would be silently masked on the wire.
+AddressedConfig validated_for(Address source, AddressedConfig config) {
+  validated(config);
+  if ((source.value() & ~util::low_mask(config.addr_bits)) != 0) {
+    util::Validator{"AddressedConfig"}.fail(
+        "addr_bits",
+        "cover the source address " + std::to_string(source.value()),
+        std::to_string(config.addr_bits));
+  }
+  return config;
+}
 
 }  // namespace
 
@@ -28,7 +41,7 @@ AddressedDriver::AddressedDriver(radio::Radio& radio, Address source,
                                  AddressedConfig config)
     : radio_(radio),
       source_(source),
-      config_(validated(config)),
+      config_(validated_for(source, config)),
       payload_per_fragment_(
           radio.config().max_frame_bytes > data_header_bytes()
               ? radio.config().max_frame_bytes - data_header_bytes()
@@ -36,14 +49,10 @@ AddressedDriver::AddressedDriver(radio::Radio& radio, Address source,
       reassembler_(aff::ReassemblerConfig{config.reassembly_timeout,
                                           config.max_reassembly_entries}),
       alive_(std::make_shared<bool>(true)) {
-  assert(config_.addr_bits >= 1 && config_.addr_bits <= 48);
-  assert((source.value() & ~util::low_mask(config_.addr_bits)) == 0 &&
-         "source address wider than addr_bits");
-
   radio_.set_receive_callback(
       [this](sim::NodeId, const util::Bytes& frame) { on_frame(frame); });
 
-  reassembler_.set_deliver([this](std::uint64_t key, const util::Bytes& packet) {
+  reassembler_.set_deliver([this](std::uint64_t key, util::BytesView packet) {
     ++stats_.packets_delivered;
     if (on_packet_) on_packet_(Address(key >> 16), packet);
   });

@@ -54,9 +54,13 @@ struct AddressedStats {
 /// identifiers. The static-allocation comparator for every AFF experiment.
 class AddressedDriver {
  public:
+  /// Receives a delivered packet as a view valid only during the call; a
+  /// handler that keeps the packet copies it.
   using PacketHandler =
-      std::function<void(Address from, const util::Bytes& packet)>;
+      std::function<void(Address from, util::BytesView packet)>;
 
+  /// Throws std::invalid_argument when `config` is invalid or `source` does
+  /// not fit in config.addr_bits.
   AddressedDriver(radio::Radio& radio, Address source, AddressedConfig config);
   ~AddressedDriver();
 

@@ -17,7 +17,7 @@ namespace {
 /// FNV-1a over packet content. Used as a set key for "was this exact
 /// content offered/delivered"; a 64-bit accidental collision could mask a
 /// violation but never fabricate one.
-std::uint64_t content_hash(const util::Bytes& bytes) {
+std::uint64_t content_hash(util::BytesView bytes) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const std::uint8_t b : bytes) {
     h ^= b;
@@ -94,6 +94,9 @@ ChaosTrialResult run_chaos_trial(const ChaosTrialConfig& config) {
   spec.medium_seed = medium_seed;
   spec.injector_seed = injector_seed;
   spec.churn_seed = churn_seed;
+  // Invariant 4's probe samples every node's truth table, and a sender's
+  // truth entries also keep its expiry timer's phase.
+  spec.sender_truth = true;
 
   // The native channel knobs randomize too: faults must compose with RF
   // collisions, half-duplex, and independent loss, not replace them.
@@ -123,13 +126,13 @@ ChaosTrialResult run_chaos_trial(const ChaosTrialConfig& config) {
   std::unordered_set<std::uint64_t> truth_content;
   std::uint64_t aff_foreign = 0;
   std::uint64_t truth_foreign = 0;
-  receiver.set_packet_handler([&](const util::Bytes& packet) {
+  receiver.set_packet_handler([&](util::BytesView packet) {
     ++out.aff_delivered;
     const std::uint64_t h = content_hash(packet);
     aff_content.insert(h);
     if (!offered.contains(h)) ++aff_foreign;
   });
-  receiver.set_truth_packet_handler([&](const util::Bytes& packet) {
+  receiver.set_truth_packet_handler([&](util::BytesView packet) {
     ++out.truth_delivered;
     const std::uint64_t h = content_hash(packet);
     truth_content.insert(h);
@@ -148,10 +151,10 @@ ChaosTrialResult run_chaos_trial(const ChaosTrialConfig& config) {
   const sim::Duration probe_period = sim::Duration::milliseconds(50);
   const auto sample_pending = [&]() {
     std::size_t peak = receiver.aff_reassembler().pending_count();
-    peak = std::max(peak, receiver.truth_reassembler().pending_count());
+    peak = std::max(peak, receiver.truth_reassembler()->pending_count());
     for (const Star::Node& s : star.senders) {
       peak = std::max(peak, s.driver->aff_reassembler().pending_count());
-      peak = std::max(peak, s.driver->truth_reassembler().pending_count());
+      peak = std::max(peak, s.driver->truth_reassembler()->pending_count());
     }
     out.max_pending_observed = std::max(out.max_pending_observed, peak);
   };
@@ -166,7 +169,7 @@ ChaosTrialResult run_chaos_trial(const ChaosTrialConfig& config) {
   out.medium = star.medium.stats();
   out.faults = star.injector->stats();
   out.aff_reassembly = receiver.aff_reassembler().stats();
-  out.truth_reassembly = receiver.truth_reassembler().stats();
+  out.truth_reassembly = receiver.truth_reassembler()->stats();
   out.undecodable_frames = receiver.stats().undecodable_frames;
   if (star.churn != nullptr) {
     out.crashes = star.churn->crashes();
@@ -228,7 +231,7 @@ ChaosTrialResult run_chaos_trial(const ChaosTrialConfig& config) {
         out.max_pending_observed, config.max_reassembly_entries));
   }
   const std::size_t residue = receiver.aff_reassembler().pending_count() +
-                              receiver.truth_reassembler().pending_count();
+                              receiver.truth_reassembler()->pending_count();
   if (residue != 0) {
     out.violations.push_back(fmt_violation(
         "bounded state: %zu receiver entries still live after drain",

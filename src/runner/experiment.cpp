@@ -77,10 +77,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   Star star(star_spec(config), obs::Hooks{&registry, spans});
 
   aff::AffDriver& receiver = *star.receiver.driver;
-  receiver.set_packet_handler([&out](const util::Bytes& packet) {
+  receiver.set_packet_handler([&out](util::BytesView packet) {
     ++out.aff_by_size[packet.size()];
   });
-  receiver.set_truth_packet_handler([&out](const util::Bytes& packet) {
+  receiver.set_truth_packet_handler([&out](util::BytesView packet) {
     ++out.truth_by_size[packet.size()];
   });
 

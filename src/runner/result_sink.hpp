@@ -39,7 +39,10 @@ class ResultSink {
   /// {"seed", "result"} with the memo body's write_result, so the per-trial
   /// delivery_ratio, collision_loss and observed_frame_loss are gone (the
   /// aggregates keep delivery_ratio and collision_loss).
-  static constexpr int kSchemaVersion = 6;
+  /// v7: senders run no ground-truth reassembly, so each trial's "metrics"
+  /// loses every sender's n<k>.aff.truth.* and n<k>.aff.truth_packets_delivered
+  /// entries (the receiver keeps its own).
+  static constexpr int kSchemaVersion = 7;
 
   /// Serializes `result` (pretty-printed when `pretty`).
   static std::string to_json(const SweepResult& result, bool pretty = true);

@@ -152,6 +152,8 @@ Star::Star(const StarSpec& spec, obs::Hooks hooks)
   receiver.driver = std::make_unique<aff::AffDriver>(
       *receiver.radio, *receiver.selector, driver_config, 0, hooks);
 
+  aff::AffDriverConfig sender_config = driver_config;
+  sender_config.truth_reassembly = spec.sender_truth;
   senders.resize(config.senders);
   for (std::size_t i = 0; i < config.senders; ++i) {
     const auto node = static_cast<sim::NodeId>(i + 1);
@@ -161,7 +163,7 @@ Star::Star(const StarSpec& spec, obs::Hooks hooks)
     s.selector =
         core::make_selector(config.selector, ids, config.seed * 43 + node);
     s.driver = std::make_unique<aff::AffDriver>(*s.radio, *s.selector,
-                                                driver_config, node, hooks);
+                                                sender_config, node, hooks);
     const std::size_t bytes = config.per_sender_packet_bytes.empty()
                                   ? config.packet_bytes
                                   : config.per_sender_packet_bytes

@@ -51,6 +51,11 @@ struct StarSpec {
   std::uint64_t injector_seed = 0;
   /// Seeds the ChurnSchedule, built when `faults` carries active churn.
   std::uint64_t churn_seed = 0;
+  /// Run ground-truth reassembly at the senders too. The receiver always
+  /// runs it; run_experiment reads truth there only, so senders skip it.
+  /// The chaos trial sets this: its bounded-state probe reads every
+  /// node's truth table.
+  bool sender_truth = false;
 };
 
 /// run_experiment's star for `config`: the "independent" channel becomes

@@ -57,7 +57,9 @@ namespace retri::serve {
 /// v3: a sweep-trial body's "metrics" member became
 /// obs::write_metrics_object's keyed object (was an array of
 /// {name, kind, count, level, peak, bounds, buckets} entries).
-inline constexpr std::string_view kCodeVersion = "retri-sim-v3";
+/// v4: run_experiment's senders stopped running ground-truth reassembly,
+/// so a sweep-trial body's "metrics" lost their n<k>.aff.truth* entries.
+inline constexpr std::string_view kCodeVersion = "retri-sim-v4";
 
 struct CacheOptions {
   /// Directory for the persistent store; empty = memory-only (tests).

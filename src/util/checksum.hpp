@@ -14,7 +14,9 @@
 
 namespace retri::util {
 
-/// CRC-32 (reflected, polynomial 0xEDB88320), the IEEE 802.3 CRC.
+/// CRC-32 (reflected, polynomial 0xEDB88320), the IEEE 802.3 CRC. Computed
+/// slice-by-8: eight bytes per step through eight 256-entry tables, then a
+/// bytewise tail; the result equals the classic bytewise algorithm's.
 std::uint32_t crc32(BytesView data) noexcept;
 
 /// Incremental CRC-32: feed chunks, then finish(). Equivalent to crc32()

@@ -15,8 +15,8 @@ struct Node {
        AddressedConfig config)
       : radio(medium, id, radio::RadioConfig{}, radio::EnergyModel{}, 500 + id),
         driver(radio, addr, config) {
-    driver.set_packet_handler([this](Address from, const util::Bytes& p) {
-      received.emplace_back(from, p);
+    driver.set_packet_handler([this](Address from, util::BytesView p) {
+      received.emplace_back(from, util::Bytes(p.begin(), p.end()));
     });
   }
 

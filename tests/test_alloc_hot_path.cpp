@@ -3,19 +3,28 @@
 // This binary — and only this binary among the test targets — links
 // src/util/alloc_hook.cpp (the counting operator-new replacement), so it
 // can assert the refactor's core claim directly: once warmed up, the event
-// engine schedules and fires without allocating at all, and a broadcast
-// fans one shared payload out to every listener instead of copying it per
-// reception. The pre-refactor baseline was 1 alloc/event on the engine and
-// 22 allocs/transmit on a 5-listener fanout. Allocation counts are
-// deterministic, so every budget here is the measured count, not a
-// tolerance around it; time is perfbench's job (perfbench/README.md).
+// engine schedules and fires without allocating at all, a broadcast fans
+// one shared payload out to every listener instead of copying it per
+// reception, and the AFF receive path reassembles and delivers frames
+// without allocating. The pre-refactor baseline was 1 alloc/event on the
+// engine, 22 allocs/transmit on a 5-listener fanout, and 1.13 allocs per
+// reassembled fragment. Allocation counts are deterministic, so every
+// budget here is the measured count, not a tolerance around it; time is
+// perfbench's job (perfbench/README.md).
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <variant>
 #include <vector>
 
+#include "aff/driver.hpp"
+#include "aff/fragmenter.hpp"
+#include "aff/reassembler.hpp"
+#include "aff/wire.hpp"
+#include "core/selector.hpp"
 #include "obs/metrics.hpp"
+#include "radio/radio.hpp"
 #include "sim/engine.hpp"
 #include "sim/medium.hpp"
 #include "sim/topology.hpp"
@@ -302,6 +311,100 @@ TEST(AllocHotPath, MixedStar64WorkloadStaysWithinBudget) {
       << first.allocs << " allocations over " << first.events << " events";
   EXPECT_EQ(run_mixed_star64().events, first.events)
       << "the mixed workload fired a different number of events when rerun";
+}
+
+// The AFF receive path: one round of frames from kRxPackets packets of the
+// §5.1 size, fragmented in instrumented mode under distinct AFF ids and
+// interleaved round-robin, as a receiver hears several senders at once.
+constexpr std::size_t kRxPackets = 6;
+constexpr std::size_t kRxPacketBytes = 80;
+
+std::vector<util::Bytes> interleaved_round(const aff::WireConfig& wire) {
+  const aff::Fragmenter fragmenter(
+      aff::FragmenterConfig{wire, radio::RadioConfig{}.max_frame_bytes});
+  std::vector<std::vector<util::Bytes>> per_packet;
+  for (std::size_t p = 0; p < kRxPackets; ++p) {
+    const util::Bytes packet = util::random_payload(kRxPacketBytes, 40 + p);
+    per_packet.push_back(fragmenter
+                             .fragment(packet, core::TransactionId(p),
+                                       (std::uint64_t{p + 1} << 32) | p)
+                             .value());
+  }
+  std::vector<util::Bytes> frames;
+  for (std::size_t i = 0; i < per_packet[0].size(); ++i) {
+    for (const auto& packet_frames : per_packet) {
+      frames.push_back(packet_frames[i]);
+    }
+  }
+  return frames;
+}
+
+TEST(AllocHotPath, ReassemblerSecondPassIsAllocationFree) {
+  const aff::WireConfig wire{8, true};
+  std::vector<aff::DecodedFragment> fragments;
+  const std::vector<util::Bytes> frames = interleaved_round(wire);
+  for (const util::Bytes& frame : frames) {
+    fragments.push_back(*aff::decode(wire, frame));
+  }
+  aff::Reassembler reassembler;
+  std::size_t delivered = 0;
+  reassembler.set_deliver(
+      [&delivered](std::uint64_t, util::BytesView) { ++delivered; });
+  const auto pass = [&](std::int64_t t_ms) {
+    const sim::TimePoint now =
+        sim::TimePoint::origin() + sim::Duration::milliseconds(t_ms);
+    for (const aff::DecodedFragment& d : fragments) {
+      if (const auto* intro = std::get_if<aff::IntroFragment>(&d.body)) {
+        reassembler.on_intro(intro->id.value(), intro->total_len,
+                             intro->checksum, now);
+      } else {
+        const auto& data = std::get<aff::DataFragment>(d.body);
+        reassembler.on_data(data.id.value(), data.offset, data.payload, now);
+      }
+    }
+  };
+  pass(0);  // warmup: grow the slab, the index and every slot's buffers
+  const std::uint64_t before = util::alloc_count();
+  pass(1);
+  EXPECT_EQ(util::alloc_count() - before, 0u)
+      << "reassembly allocated in steady state";
+  EXPECT_EQ(delivered, 2 * kRxPackets);
+}
+
+// An instrumented receiver behind a Radio, truth reassembly on: medium
+// delivery, radio receive, decode, both reassemblies, CRC, selector
+// observe and view delivery. Frames are transmitted before counting, each
+// in a full-frame airtime slot so the round lands in one engine bucket;
+// only sim.run() delivering them is measured.
+TEST(AllocHotPath, AffDriverReceiveIsAllocationFree) {
+  sim::Simulator sim;
+  sim::BroadcastMedium medium(sim, sim::Topology::full_mesh(2), {}, 1);
+  radio::Radio radio(medium, 0, radio::RadioConfig{}, radio::EnergyModel{}, 2);
+  core::UniformSelector selector(core::IdSpace(8), 3);
+  aff::AffDriverConfig config;
+  config.wire = aff::WireConfig{8, true};
+  ASSERT_TRUE(config.truth_reassembly);
+  aff::AffDriver driver(radio, selector, config, 0);
+  std::size_t aff_packets = 0;
+  std::size_t truth_packets = 0;
+  driver.set_packet_handler([&](util::BytesView) { ++aff_packets; });
+  driver.set_truth_packet_handler([&](util::BytesView) { ++truth_packets; });
+
+  const std::vector<util::Bytes> frames = interleaved_round(config.wire);
+  const sim::Duration slot = radio.airtime(radio.config().max_frame_bytes);
+  const auto round = [&] {
+    for (const util::Bytes& frame : frames) {
+      medium.transmit(1, util::Bytes(frame), slot);
+    }
+    const std::uint64_t before = util::alloc_count();
+    sim.run();
+    return util::alloc_count() - before;
+  };
+  round();  // warmup
+  aff_packets = truth_packets = 0;
+  EXPECT_EQ(round(), 0u) << "AFF receive allocated in steady state";
+  EXPECT_EQ(aff_packets, kRxPackets);
+  EXPECT_EQ(truth_packets, kRxPackets);
 }
 
 TEST(AllocHotPath, SharedBytesClonesOnlyWhenSharedAndMutated) {

@@ -30,6 +30,44 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   EXPECT_EQ(incremental.finish(), crc32(data));
 }
 
+/// The CRC-32 definition itself, one bit at a time: the reference the
+/// table-driven slice-by-8 routine must reproduce.
+std::uint32_t bitwise_crc32(BytesView data) {
+  std::uint32_t c = 0xffffffffu;
+  for (const std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return ~c;
+}
+
+TEST(Crc32, SliceBy8MatchesBitwiseAtEveryLengthAndAlignment) {
+  const Bytes data = random_payload(300 + 16, 11);
+  for (std::size_t start = 0; start < 16; ++start) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const BytesView view(data.data() + start, len);
+      ASSERT_EQ(crc32(view), bitwise_crc32(view))
+          << "start " << start << ", length " << len;
+    }
+  }
+}
+
+TEST(Crc32, IncrementalMatchesBitwiseAtEverySplit) {
+  const Bytes data = random_payload(80, 12);
+  for (const std::size_t len : {7u, 8u, 9u, 27u, 64u, 80u}) {
+    const BytesView whole(data.data(), len);
+    for (std::size_t split = 0; split <= len; ++split) {
+      Crc32 c;
+      c.update(whole.first(split));
+      c.update(whole.subspan(split));
+      ASSERT_EQ(c.finish(), bitwise_crc32(whole))
+          << "length " << len << ", split " << split;
+    }
+  }
+}
+
 TEST(Crc32, DetectsSingleBitFlip) {
   Xoshiro256 rng(77);
   Bytes data = random_payload(200, 6);

@@ -5,12 +5,16 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "aff/driver.hpp"
 #include "aff/reassembler.hpp"
 #include "aff/wire.hpp"
 #include "apps/flood.hpp"
 #include "apps/interest.hpp"
+#include "core/selector.hpp"
+#include "net/addressed_frag.hpp"
+#include "radio/radio.hpp"
 #include "radio/duty_cycle.hpp"
 #include "sim/medium.hpp"
 #include "sim/mobility.hpp"
@@ -100,6 +104,52 @@ TEST(AffDriverConfigValidation, RejectsBadIdBitsTimeoutsAndCapacity) {
   config = aff::AffDriverConfig{};
   config.wire.id_bits = 64;  // boundary is legal
   EXPECT_NO_THROW((void)aff::validated(config));
+}
+
+/// The message of the std::invalid_argument `make` throws; empty when it
+/// throws nothing.
+template <typename Make>
+std::string invalid_argument_message(Make&& make) {
+  try {
+    make();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(AffDriverConfigValidation, ConstructorRejectsSelectorWiderThanWire) {
+  // A 10-bit selector on an 8-bit wire would have its ids masked to 8 bits
+  // on the wire; the check must hold in every build, not only under
+  // assert.
+  sim::Simulator sim;
+  sim::BroadcastMedium medium(sim, sim::Topology::full_mesh(1), {}, 1);
+  radio::Radio radio(medium, 0, radio::RadioConfig{}, radio::EnergyModel{}, 1);
+  core::UniformSelector wide(core::IdSpace(10), 2);
+  aff::AffDriverConfig config;
+  config.wire.id_bits = 8;
+  EXPECT_EQ(invalid_argument_message(
+                [&] { aff::AffDriver driver(radio, wide, config, 0); }),
+            "AffDriverConfig.wire.id_bits must equal the selector's id width "
+            "of 10 bits, got 8");
+  config.wire.id_bits = 10;
+  EXPECT_NO_THROW(aff::AffDriver(radio, wide, config, 0));
+}
+
+TEST(AddressedConfigValidation, ConstructorRejectsSourceWiderThanAddrBits) {
+  // A 9-bit source address on an 8-bit address field would be masked on
+  // the wire, and reassembly would key another node's packets under it.
+  sim::Simulator sim;
+  sim::BroadcastMedium medium(sim, sim::Topology::full_mesh(1), {}, 1);
+  radio::Radio radio(medium, 0, radio::RadioConfig{}, radio::EnergyModel{}, 1);
+  net::AddressedConfig config;
+  config.addr_bits = 8;
+  EXPECT_EQ(invalid_argument_message([&] {
+              net::AddressedDriver driver(radio, net::Address(0x1ff), config);
+            }),
+            "AddressedConfig.addr_bits must cover the source address 511, "
+            "got 8");
+  EXPECT_NO_THROW(net::AddressedDriver(radio, net::Address(0xff), config));
 }
 
 TEST(ValidatorPrimitives, PositiveAndNonNegative) {

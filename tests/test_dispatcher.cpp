@@ -83,7 +83,7 @@ TEST_F(DispatcherTest, AdoptCurrentRehomesAServiceCallback) {
   dispatcher.adopt_current(rx, 0x01, 0x03);              // re-homes it
 
   int packets = 0;
-  rx_driver.set_packet_handler([&](const util::Bytes&) { ++packets; });
+  rx_driver.set_packet_handler([&](util::BytesView) { ++packets; });
 
   // Also give the dynamic allocator's kinds a route (simulated service).
   int alloc_frames = 0;
@@ -116,7 +116,7 @@ TEST_F(DispatcherTest, CoResidentAffAndDynAllocShareOneRadio) {
   dispatcher.adopt_current(rx, 0x21, 0x22);
 
   int packets = 0;
-  driver.set_packet_handler([&](const util::Bytes&) { ++packets; });
+  driver.set_packet_handler([&](util::BytesView) { ++packets; });
 
   alloc.start();
   core::UniformSelector tx_selector(core::IdSpace(8), 9);

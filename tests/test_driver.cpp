@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "util/random.hpp"
@@ -19,10 +20,12 @@ struct Node {
                                      core::IdSpace(config.wire.id_bits),
                                      2000 + id)),
         driver(radio, *selector, config, id) {
-    driver.set_packet_handler(
-        [this](const util::Bytes& p) { received.push_back(p); });
-    driver.set_truth_packet_handler(
-        [this](const util::Bytes& p) { truth_received.push_back(p); });
+    driver.set_packet_handler([this](util::BytesView p) {
+      received.emplace_back(p.begin(), p.end());
+    });
+    driver.set_truth_packet_handler([this](util::BytesView p) {
+      truth_received.emplace_back(p.begin(), p.end());
+    });
   }
 
   radio::Radio radio;
@@ -118,6 +121,33 @@ TEST_F(DriverTest, InstrumentedModeCountsGroundTruth) {
   EXPECT_EQ(rx.received.size(), 1u);
   EXPECT_EQ(rx.truth_received.size(), 1u);
   EXPECT_EQ(rx.driver.stats().truth_packets_delivered, 1u);
+}
+
+TEST_F(DriverTest, TruthReassemblyOffBuildsNoTruthTable) {
+  AffDriverConfig config = basic_config(8);
+  config.wire.instrumented = true;
+  Node tx(medium, 0, config);
+  config.truth_reassembly = false;
+  obs::MetricsRegistry registry;
+  radio::Radio radio(medium, 1, radio::RadioConfig{}, radio::EnergyModel{}, 5);
+  core::UniformSelector selector(core::IdSpace(8), 6);
+  AffDriver rx(radio, selector, config, 1, obs::Hooks{&registry});
+  int delivered = 0;
+  int truth_delivered = 0;
+  rx.set_packet_handler([&](util::BytesView) { ++delivered; });
+  rx.set_truth_packet_handler([&](util::BytesView) { ++truth_delivered; });
+
+  ASSERT_TRUE(tx.driver.send_packet(util::random_payload(80, 12)).ok());
+  sim.run_until(sim::TimePoint::origin() + sim::Duration::seconds(2));
+  EXPECT_EQ(rx.truth_reassembler(), nullptr);
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(truth_delivered, 0);
+  EXPECT_EQ(rx.stats().truth_packets_delivered, 0u);
+  const obs::MetricsSnapshot snapshot = registry.snapshot();
+  ASSERT_NE(snapshot.find("n1.aff.rx.fragments_seen"), nullptr);
+  for (const obs::MetricValue& e : snapshot.entries) {
+    EXPECT_EQ(e.name.find("aff.truth"), std::string::npos) << e.name;
+  }
 }
 
 TEST_F(DriverTest, IdentifierCollisionLosesPacketButTruthSurvives) {

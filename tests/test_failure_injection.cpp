@@ -61,7 +61,7 @@ TEST(FailureInjection, SevereRandomLossNeverWedgesReassembly) {
   EXPECT_LT(rx.driver.stats().packets_delivered, 60u);
   EXPECT_GT(stats.timeouts + stats.orphan_fragments, 0u);
   EXPECT_EQ(rx.driver.aff_reassembler().pending_count(), 0u);
-  EXPECT_EQ(rx.driver.truth_reassembler().pending_count(), 0u);
+  EXPECT_EQ(rx.driver.truth_reassembler()->pending_count(), 0u);
 }
 
 TEST(FailureInjection, RfCollisionsWithBackoffStillMakeProgress) {
@@ -173,7 +173,7 @@ TEST(FailureInjection, BitFlippedFramesAreRejectedNotCrashed) {
   // The instrumented ground-truth path keys by the (uncorrupted-id) true
   // packet id and is equally subject to payload corruption; it must also
   // hold no stale entries.
-  EXPECT_EQ(rx.driver.truth_reassembler().pending_count(), 0u);
+  EXPECT_EQ(rx.driver.truth_reassembler()->pending_count(), 0u);
 }
 
 TEST(FailureInjection, ReassemblyTableExhaustionEvictsGracefully) {

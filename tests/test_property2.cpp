@@ -55,7 +55,9 @@ TEST_P(ReassemblyOrderTest, AnyDataOrderWithDuplicatesDelivers) {
 
   aff::Reassembler reasm;
   util::Bytes delivered;
-  reasm.set_deliver([&](std::uint64_t, const util::Bytes& p) { delivered = p; });
+  reasm.set_deliver([&](std::uint64_t, util::BytesView p) {
+    delivered.assign(p.begin(), p.end());
+  });
 
   const auto now = sim::TimePoint::origin();
   reasm.on_intro(7, static_cast<std::uint16_t>(packet.size()),
@@ -180,7 +182,9 @@ TEST(FragmenterGeometry, FrameCountFormulaMatchesActualFragmentation) {
     // Reassembling them yields the exact packet.
     aff::Reassembler reasm;
     util::Bytes delivered;
-    reasm.set_deliver([&](std::uint64_t, const util::Bytes& p) { delivered = p; });
+    reasm.set_deliver([&](std::uint64_t, util::BytesView p) {
+      delivered.assign(p.begin(), p.end());
+    });
     const auto now = sim::TimePoint::origin();
     for (const auto& f : frames.value()) {
       const auto decoded = aff::decode(aff::WireConfig{12, true}, f);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "util/checksum.hpp"
@@ -17,8 +18,8 @@ sim::TimePoint at_ms(std::int64_t ms) {
 class ReassemblerTest : public ::testing::Test {
  protected:
   ReassemblerTest() {
-    reasm.set_deliver([this](std::uint64_t key, const util::Bytes& packet) {
-      delivered.emplace_back(key, packet);
+    reasm.set_deliver([this](std::uint64_t key, util::BytesView packet) {
+      delivered.emplace_back(key, util::Bytes(packet.begin(), packet.end()));
     });
     reasm.set_closed([this](std::uint64_t key) { closed.push_back(key); });
   }
@@ -274,6 +275,40 @@ TEST_F(ReassemblerTest, BytesBeyondAnnouncedLengthAreIgnored) {
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(delivered[0].second.size(), 30u);
   EXPECT_EQ(delivered[0].second, packet);
+}
+
+TEST_F(ReassemblerTest, CoveragePastTotalLenCompletesWithZeroHoles) {
+  // Coverage counts bytes written past total_len, so a colliding longer
+  // packet can complete an entry whose announced prefix still has holes.
+  // Bytes never written read as zero: a packet that is zero there checks.
+  util::Bytes packet = util::random_payload(40, 30);
+  std::fill(packet.begin() + 10, packet.begin() + 20, std::uint8_t{0});
+  util::Bytes tail(packet.begin() + 20, packet.end());
+  tail.resize(30, 0x5a);  // 10 bytes past total_len
+  reasm.on_intro(8, 40, util::crc32(packet), at_ms(0));
+  reasm.on_data(8, 0, util::BytesView(packet.data(), 10), at_ms(1));
+  reasm.on_data(8, 20, tail, at_ms(2));  // covers 40 bytes; [10, 20) never
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(delivered[0].second, packet);
+}
+
+TEST_F(ReassemblerTest, RecycledSlotDoesNotLeakPreviousBytesIntoHoles) {
+  // The entry that delivered `first` frees its slot with the buffer
+  // intact; the next entry reuses it. Its holes must still read as zero,
+  // not as `first`'s bytes.
+  const util::Bytes first = util::random_payload(40, 31);
+  feed_packet(4, first, 40);
+  ASSERT_EQ(delivered.size(), 1u);
+  util::Bytes packet = first;
+  std::fill(packet.begin() + 10, packet.begin() + 20, std::uint8_t{0});
+  util::Bytes tail(packet.begin() + 20, packet.end());
+  tail.resize(30, 0x5a);
+  reasm.on_intro(5, 40, util::crc32(packet), at_ms(1));
+  reasm.on_data(5, 0, util::BytesView(packet.data(), 10), at_ms(2));
+  reasm.on_data(5, 20, tail, at_ms(3));
+  ASSERT_EQ(delivered.size(), 2u);
+  EXPECT_EQ(delivered[1].second, packet);
+  EXPECT_EQ(reasm.stats().checksum_failed, 0u);
 }
 
 TEST_F(ReassemblerTest, ManyInterleavedPacketsUnderDistinctKeys) {

@@ -5,11 +5,13 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "harness.hpp"
+#include "runner/experiment.hpp"
 #include "runner/seeds.hpp"
 #include "runner/thread_pool.hpp"
 #include "runner/trial_runner.hpp"
@@ -178,6 +180,27 @@ TEST(ExperimentResult, ClassLossClampedToUnitInterval) {
   EXPECT_EQ(result.class_loss(240), 1.0);
 
   EXPECT_EQ(result.class_loss(999), 0.0);  // unknown class: no truth basis
+}
+
+TEST(RunExperiment, GroundTruthRunsOnlyAtTheReceiver) {
+  // run_experiment reads ground truth at the receiver alone, so only node 0
+  // builds a truth reassembler and registers its n0.aff.truth* metrics.
+  runner::ExperimentConfig config;
+  config.senders = 3;
+  config.send_duration = retri::sim::Duration::seconds(1);
+  const runner::ExperimentResult result = runner::run_experiment(config);
+  std::set<std::string> truth_metrics;
+  for (const retri::obs::MetricValue& e : result.metrics.entries) {
+    if (e.name.find(".aff.truth") != std::string::npos) {
+      truth_metrics.insert(e.name);
+    }
+  }
+  EXPECT_EQ(truth_metrics.size(), 12u);
+  for (const std::string& name : truth_metrics) {
+    EXPECT_EQ(name.rfind("n0.aff.truth", 0), 0u) << name;
+  }
+  EXPECT_TRUE(truth_metrics.contains("n0.aff.truth.fragments_seen"));
+  EXPECT_GT(result.truth_delivered, 0u);
 }
 
 TEST(ExperimentConfigValidation, RejectsBadKnobs) {

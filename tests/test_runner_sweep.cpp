@@ -167,7 +167,7 @@ TEST(SweepRunner, ParallelSweepMatchesSerialAndExportsStableJson) {
   EXPECT_TRUE(retri::util::parse_json(json_a).ok());
   EXPECT_NE(json_a.find("\"schema\": \"retri.sweep-result\""),
             std::string::npos);
-  EXPECT_NE(json_a.find("\"schema_version\": 6"), std::string::npos);
+  EXPECT_NE(json_a.find("\"schema_version\": 7"), std::string::npos);
   EXPECT_NE(json_a.find("\"delivery_ratio\""), std::string::npos);
   // v3: per-trial metrics snapshots and the trial-order metrics fold.
   EXPECT_NE(json_a.find("\"metrics\""), std::string::npos);

@@ -73,7 +73,7 @@ class TrafficSourceTest : public ::testing::Test {
         driver(radio, selector, make_config(), 1),
         rx_driver(rx_radio, rx_selector, make_config(), 2) {
     rx_driver.set_packet_handler(
-        [this](const util::Bytes&) { ++packets_received; });
+        [this](util::BytesView) { ++packets_received; });
   }
 
   static aff::AffDriverConfig make_config() {
