@@ -10,13 +10,6 @@
 
 namespace retri::bench {
 
-runner::TrialSummary run_trials(const runner::ExperimentConfig& config,
-                                unsigned trials, unsigned jobs) {
-  runner::TrialRunnerOptions options;
-  options.jobs = jobs;
-  return runner::TrialRunner(options).run_summary(config, trials);
-}
-
 bool try_parse_args(int argc, char** argv, BenchArgs& args,
                     std::string& error) {
   for (int i = 1; i < argc; ++i) {
@@ -69,12 +62,22 @@ bool try_parse_args(int argc, char** argv, BenchArgs& args,
       }
     } else if (flag == "--out") {
       if (!next_value(value)) return false;
+      // An empty path would skip the export and still exit 0.
+      if (value.empty()) {
+        error = "--out needs a file path";
+        return false;
+      }
       args.out = std::string(value);
     } else if (flag == "--sweep") {
       if (!next_value(value)) return false;
       args.sweep = std::string(value);
     } else if (flag == "--selector") {
       if (!next_value(value)) return false;
+      // An empty name would silently run the unpinned grid.
+      if (value.empty()) {
+        error = "--selector needs a policy name (or help)";
+        return false;
+      }
       args.selector = std::string(value);
     } else if (flag == "--cache") {
       if (!next_value(value)) return false;
@@ -105,20 +108,17 @@ BenchArgs parse_args(int argc, char** argv) {
   return args;
 }
 
-int reject_retri_bench_flags(const BenchArgs& args, std::FILE* err) {
+int require_no_out(const BenchArgs& args, std::FILE* err) {
   const char* flag = !args.sweep.empty()      ? "--sweep"
                      : !args.selector.empty() ? "--selector"
                      : !args.cache.empty()    ? "--cache"
                      : args.list              ? "--list"
                                               : nullptr;
-  if (flag == nullptr) return 0;
-  std::fprintf(err, "%s is a retri_bench flag; this binary rejects it\n",
-               flag);
-  return 2;
-}
-
-int require_no_out(const BenchArgs& args, std::FILE* err) {
-  if (const int bad = reject_retri_bench_flags(args, err)) return bad;
+  if (flag != nullptr) {
+    std::fprintf(err, "%s is a retri_bench flag; this binary rejects it\n",
+                 flag);
+    return 2;
+  }
   if (args.out.empty()) return 0;
   std::fprintf(err,
                "--out is not supported by this binary (it prints tables "

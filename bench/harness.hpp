@@ -1,10 +1,9 @@
-// Shared experiment harness for the bench binaries.
+// Shared command-line grammar for the bench binaries.
 //
 // The §5.1 experiment itself lives in src/runner (runner::experiment); this
-// header adds the two bench-side pieces: run_trials — a thin wrapper over
-// runner::TrialRunner preserving the historical serial-looking API while
-// sharding trials across --jobs workers — and the shared command-line
-// grammar (parse_args).
+// header adds the bench-side pieces: the shared flag parser (parse_args),
+// the --out artifact writer, and the guard that keeps the table-only
+// binaries from silently ignoring retri_bench's flags.
 #pragma once
 
 #include <cstddef>
@@ -12,20 +11,9 @@
 #include <cstdio>
 #include <string>
 
-#include "runner/experiment.hpp"
-#include "runner/result_sink.hpp"
 #include "runner/sweep.hpp"
-#include "runner/trial_runner.hpp"
 
 namespace retri::bench {
-
-/// Runs `trials` independent trials of `config` — the paper's
-/// 10-trials-with-error-bars methodology — sharded across `jobs` workers.
-/// Trial t's seed is runner::derive_trial_seed(config.seed, t); results are
-/// aggregated in trial order, so the summary is bit-identical for any jobs
-/// value (see DESIGN.md on the runner).
-runner::TrialSummary run_trials(const runner::ExperimentConfig& config,
-                                unsigned trials, unsigned jobs = 1);
 
 /// Parses "--flag value" style overrides shared by the benches:
 /// --trials N, --seconds S, --senders N, --seed X, --jobs N, --out FILE,
@@ -54,8 +42,9 @@ struct BenchArgs {
 };
 
 /// Non-exiting parser: returns false and fills `error` on unknown flags,
-/// missing values, or numeric values that fail strict whole-token parsing
-/// (rejected, never silently defaulted). Tests exercise this directly.
+/// missing values, numeric values that fail strict whole-token parsing
+/// (rejected, never silently defaulted), or an empty --out, --selector or
+/// --cache. Tests exercise this directly.
 bool try_parse_args(int argc, char** argv, BenchArgs& args,
                     std::string& error);
 
@@ -71,17 +60,13 @@ BenchArgs parse_args(int argc, char** argv);
 int export_result(const std::string& path, const runner::SweepResult& result,
                   std::FILE* err);
 
-/// Exit-2 guard for the figure/ablation binaries. The shared grammar
-/// accepts retri_bench's own flags everywhere (--sweep, --selector,
-/// --cache, --list), and accepting one while silently ignoring it is the
-/// same intent-loss bug class export_result closes.
-/// Returns 0 when none was given; prints the first one found and returns
-/// 2 otherwise.
-int reject_retri_bench_flags(const BenchArgs& args, std::FILE* err);
-
-/// reject_retri_bench_flags for binaries that print tables but never
-/// export JSON, which also refuse --out with a redirect to
-/// `retri_bench --sweep NAME --out`.
+/// Exit-2 guard for the figure/ablation binaries, which print tables but
+/// never export JSON. The shared grammar accepts retri_bench's own flags
+/// everywhere (--sweep, --selector, --cache, --list) and --out, and
+/// accepting one while silently ignoring it is the same intent-loss bug
+/// class export_result closes. Returns 0 when none was given; otherwise
+/// prints the first one found (--out with a redirect to
+/// `retri_bench --sweep NAME --out`) and returns 2.
 int require_no_out(const BenchArgs& args, std::FILE* err);
 
 }  // namespace retri::bench

@@ -7,10 +7,15 @@
 // Selects a named sweep from runner::make_named_sweep (fig1–fig4 and the
 // ablation grids), runs the whole parameter grid through the parallel
 // SweepRunner with per-point progress lines on stderr, prints the paper's
-// mean ± stddev table per point, and optionally exports the full
+// mean ± stddev table per point, then the verdict of every claim over the
+// sweep (runner/claims.hpp), and optionally exports the full
 // schema-versioned JSON artifact (configs, per-trial metrics, aggregates)
 // via runner::ResultSink. Per-trial results — and the JSON file itself —
 // are bit-identical for any --jobs value.
+//
+// A failed claim does not change the exit status: at small --trials and
+// --seconds no interval can support a claim. `ctest -L repro` checks the
+// claims at the registry defaults.
 //
 //   retri_bench --sweep fig4 --cache .retri-cache
 //
@@ -24,6 +29,7 @@
 #include <utility>
 
 #include "harness.hpp"
+#include "runner/claims.hpp"
 #include "runner/result_sink.hpp"
 #include "runner/sweep.hpp"
 #include "serve/memo.hpp"
@@ -43,6 +49,28 @@ int list_sweeps(std::FILE* stream) {
                  name.data(), spec.ok() ? spec.value().description.c_str() : "");
   }
   return 0;
+}
+
+/// One row per claim over the sweep, with its tightest comparison.
+void print_claims(const runner::SweepResult& result, bool csv) {
+  Table table({"claim", "section", "statement", "tightest at", "measured",
+               "bound", "verdict"});
+  bool any = false;
+  for (const runner::Claim& claim : runner::claims()) {
+    if (claim.sweep != result.spec.name) continue;
+    any = true;
+    const runner::ClaimOutcome outcome = runner::evaluate(claim, result);
+    const runner::ClaimCheck* tightest = outcome.tightest();
+    table.row({std::string(claim.id), std::string(claim.section),
+               std::string(claim.statement), tightest ? tightest->at : "-",
+               tightest ? fmt(tightest->measured) : "-",
+               tightest ? fmt(tightest->bound) : "-",
+               std::string(runner::to_string(outcome.verdict))});
+  }
+  if (!any) return;
+  std::cout << '\n';
+  if (csv) table.print_csv(std::cout);
+  else table.print(std::cout);
 }
 
 int list_selectors(std::FILE* stream) {
@@ -137,6 +165,7 @@ int main(int argc, char** argv) {
   }
   if (args.csv) table.print_csv(std::cout);
   else table.print(std::cout);
+  print_claims(result, args.csv);
 
   if (!args.out.empty()) {
     // Exit 2 (usage/IO error) when --out is unwritable: scripted pipelines

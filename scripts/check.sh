@@ -11,12 +11,14 @@
 #
 # Stages (each is a fresh build tree under build-check/):
 #   1. werror  — RelWithDebInfo + RETRI_WERROR=ON, full build, full ctest
+#                (which includes `ctest -L repro`: the paper's claims over
+#                their named sweeps at the registry defaults)
 #   2. lint    — retri_lint over the tree with an empty baseline
 #   3. graph   — retri_lint --graph check: include-graph layering + cycle
 #                rules over src/ (also part of --quick)
 #   4. tidy    — RETRI_TIDY=ON build (curated .clang-tidy, warnings fatal);
 #                SKIPPED with a notice when clang-tidy is not installed
-#   5. asan    — RETRI_SANITIZE=address build + full ctest
+#   5. asan    — RETRI_SANITIZE=address build + full ctest (repro included)
 #   6. chaos   — short randomized fault-injection soak (retri_chaos) under
 #                the asan build, plus `ctest -L chaos`; also runnable alone
 #                via `scripts/check.sh --chaos`
@@ -37,7 +39,7 @@
 #                must report 0 simulated cells
 #  10. tsan    — RETRI_SANITIZE=thread build + `ctest -L runner` (the
 #                concurrency suite; TSan on the single-threaded sim buys
-#                nothing but runtime)
+#                nothing but runtime, so the repro sweeps do not run here)
 #  11. perf    — opt-in via `scripts/check.sh --perf`: perfbench's own
 #                self-test, then both BENCHMARK.json workloads (paper_star5,
 #                hidden16) at --seed 0 --seconds 30, untraced and traced.

@@ -23,7 +23,7 @@ namespace retri::core {
 /// estimation method open ("we are investigating more accurate ways of
 /// estimating the typical transaction density T", §8); the AFF driver takes
 /// any DensityModel so the alternatives can be compared experimentally
-/// (bench/ablate_density_estimators).
+/// (the density_estimators named sweep).
 class DensityModel {
  public:
   virtual ~DensityModel() = default;

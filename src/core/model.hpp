@@ -73,8 +73,8 @@ std::optional<unsigned> min_bits_for_loss(double max_collision_rate,
 // -- Extension: a listening-aware success model -------------------------------
 //
 // The paper's §8 names "capturing the effects of listening ... in our
-// model" as future work; this is our version of that extension, validated
-// against simulation by bench/ablate_duty_cycle.
+// model" as future work; this is our version of that extension, compared
+// with simulation by the duty_cycle named sweep (EXPERIMENTS.md, Ablation E).
 //
 // `hear_prob` (q) is the probability a node hears any given peer's
 // identifier announcement before selecting its own — q < 1 because of

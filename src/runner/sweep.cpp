@@ -206,9 +206,9 @@ util::Result<SweepSpec, std::string> make_named_sweep(std::string_view name) {
     spec.base.selector = core::listening_selector();
     spec.duties = {0.0, 0.25, 0.5, 0.75, 1.0};
   } else if (name == "density_estimators") {
-    spec.description = "density estimator choice under listening (H=4)";
-    spec.base.id_bits = 4;
+    spec.description = "density estimator choice under listening (H=3,4,6)";
     spec.base.selector = core::listening_selector();
+    spec.id_bits = {3, 4, 6};
     spec.density_models = {core::DensityModelKind::kEwma,
                            core::DensityModelKind::kInstantaneous,
                            core::DensityModelKind::kPeakWindow};
@@ -241,8 +241,6 @@ util::Result<SweepSpec, std::string> make_named_sweep(std::string_view name) {
     // The selector-zoo ablation: every identifier-selection policy against
     // every attacker mode across offered load, at a width (H=6) narrow
     // enough that collisions — accidental or forged — actually happen.
-    // The Eq.-4-style efficiency comparison in bench/ablate_selectors.cpp
-    // renders this grid.
     spec.description =
         "selector zoo x attacker mode x offered load (H=6, Eq. 4 "
         "efficiency)";

@@ -1,7 +1,7 @@
 // runner: thread pool, seed derivation, and the determinism contract —
 // TrialRunner produces bit-identical per-trial results for any worker
-// count, and bench::run_trials (the legacy serial-looking API, now a thin
-// wrapper) agrees with it exactly.
+// count, and TrialRunner::run_summary runs trial t at
+// derive_trial_seed(config.seed, t).
 #include <atomic>
 #include <set>
 #include <stdexcept>
@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "harness.hpp"
 #include "runner/experiment.hpp"
 #include "runner/seeds.hpp"
 #include "runner/thread_pool.hpp"
@@ -146,8 +145,8 @@ TEST(TrialRunner, LegacyRunTrialsWrapperAgrees) {
   constexpr unsigned kTrials = 5;
 
   // Reference: a serial loop over run_experiment with derived seeds — the
-  // contract run_trials has always exposed (independent trials from the
-  // base seed), pinned to the documented derivation.
+  // contract run_summary exposes (independent trials from the base seed),
+  // pinned to the documented derivation.
   std::vector<double> reference;
   for (unsigned t = 0; t < kTrials; ++t) {
     runner::ExperimentConfig trial_config = config;
@@ -155,8 +154,11 @@ TEST(TrialRunner, LegacyRunTrialsWrapperAgrees) {
     reference.push_back(runner::run_experiment(trial_config).delivery_ratio());
   }
 
-  const auto serial = retri::bench::run_trials(config, kTrials, 1);
-  const auto sharded = retri::bench::run_trials(config, kTrials, 8);
+  runner::TrialRunnerOptions sharded_options;
+  sharded_options.jobs = 8;
+  const auto serial = runner::TrialRunner().run_summary(config, kTrials);
+  const auto sharded =
+      runner::TrialRunner(sharded_options).run_summary(config, kTrials);
   ASSERT_EQ(serial.delivery_ratio.outcomes().size(), kTrials);
   EXPECT_EQ(serial.delivery_ratio.outcomes(), reference);
   EXPECT_EQ(sharded.delivery_ratio.outcomes(), reference);
