@@ -19,7 +19,7 @@
 //
 //   retri_bench --sweep fig4 --cache .retri-cache
 //
-// memoizes the sweep's trials in an on-disk store (serve::run_cached_sweep):
+// gives the same run an on-disk memo store (SweepOptions::cache_dir):
 // trials already in the store are served without simulation, the rest run
 // on --jobs workers and are added to it. The table and the --out artifact
 // are byte-identical to an uncached run.
@@ -32,7 +32,6 @@
 #include "runner/claims.hpp"
 #include "runner/result_sink.hpp"
 #include "runner/sweep.hpp"
-#include "serve/memo.hpp"
 #include "stats/table.hpp"
 
 namespace runner = retri::runner;
@@ -129,28 +128,21 @@ int main(int argc, char** argv) {
               spec.name.c_str(), spec.description.c_str(), spec.point_count(),
               spec.trials, args.seconds, args.jobs);
 
-  runner::SweepResult result;
+  runner::SweepOptions options;
+  options.jobs = args.jobs;
+  options.cache_dir = args.cache;
+  options.on_point_done = [](const runner::SweepProgress& progress) {
+    std::fprintf(stderr, "[%zu/%zu] %.*s\n", progress.points_done,
+                 progress.points_total,
+                 static_cast<int>(progress.label.size()),
+                 progress.label.data());
+  };
+  const runner::SweepResult result = runner::SweepRunner(options).run(spec);
   if (!args.cache.empty()) {
-    retri::serve::MemoOptions options;
-    options.cache_dir = args.cache;
-    options.jobs = args.jobs;
-    retri::serve::CachedSweep cached =
-        retri::serve::run_cached_sweep(spec, options);
-    result = std::move(cached.result);
     std::fprintf(stderr, "cache %s: %llu hits, %llu simulated\n",
                  args.cache.c_str(),
-                 static_cast<unsigned long long>(cached.stats.hits),
-                 static_cast<unsigned long long>(cached.stats.misses));
-  } else {
-    runner::SweepOptions options;
-    options.jobs = args.jobs;
-    options.on_point_done = [](const runner::SweepProgress& progress) {
-      std::fprintf(stderr, "[%zu/%zu] %.*s\n", progress.points_done,
-                   progress.points_total,
-                   static_cast<int>(progress.label.size()),
-                   progress.label.data());
-    };
-    result = runner::SweepRunner(options).run(spec);
+                 static_cast<unsigned long long>(result.memo.hits),
+                 static_cast<unsigned long long>(result.memo.simulated));
   }
 
   Table table({"point", "delivery mean", "loss mean", "loss sd", "ci95 lo",

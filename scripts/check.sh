@@ -12,7 +12,8 @@
 # Stages (each is a fresh build tree under build-check/):
 #   1. werror  — RelWithDebInfo + RETRI_WERROR=ON, full build, full ctest
 #                (which includes `ctest -L repro`: the paper's claims over
-#                their named sweeps at the registry defaults)
+#                their named sweeps at the registry defaults, and the table
+#                binaries' shape checks)
 #   2. lint    — retri_lint over the tree with an empty baseline
 #   3. graph   — retri_lint --graph check: include-graph layering + cycle
 #                rules over src/ (also part of --quick)
@@ -31,15 +32,17 @@
 #                attacker model) plus a short
 #                attacker soak: `retri_bench --sweep selectors` at --jobs 1
 #                vs --jobs 8 must emit byte-identical artifacts
-#   9. cache   — memo-store gate under the werror build: `ctest -L serve`
-#                (cache, crash points, cached sweep and chaos soak)
-#                plus one short sweep run three times — uncached, cold
-#                `--cache` at --jobs 1, warm `--cache` at --jobs 4: the
+#   9. cache   — memo-store gate under the werror build: the cache and
+#                memo suites of `ctest -L runner` (ServeCacheTest: LRU, CRC,
+#                crash points; MemoTest: a sweep and a chaos soak given a
+#                store) plus one short sweep run three times — uncached,
+#                cold `--cache` at --jobs 1, warm `--cache` at --jobs 4: the
 #                three artifacts must be byte-identical and the warm run
 #                must report 0 simulated cells
 #  10. tsan    — RETRI_SANITIZE=thread build + `ctest -L runner` (the
-#                concurrency suite; TSan on the single-threaded sim buys
-#                nothing but runtime, so the repro sweeps do not run here)
+#                concurrency suite, memo store included; TSan on the
+#                single-threaded sim buys nothing but runtime, so the repro
+#                sweeps and table binaries do not run here)
 #  11. perf    — opt-in via `scripts/check.sh --perf`: perfbench's own
 #                self-test, then both BENCHMARK.json workloads (paper_star5,
 #                hidden16) at --seed 0 --seconds 30, untraced and traced.
@@ -247,8 +250,8 @@ cache_stage() {
   local bench=./build-check/werror/bench/retri_bench
   local flags=(--sweep fig4 --trials 2 --seconds 2)
   rm -rf "$dir" && mkdir -p "$dir" &&
-  ctest --test-dir build-check/werror --output-on-failure -L serve \
-    -j "$JOBS" &&
+  ctest --test-dir build-check/werror --output-on-failure -L runner \
+    -R '^(ServeCache|MemoTest)' --no-tests=error -j "$JOBS" &&
   "$bench" "${flags[@]}" --jobs 4 --out "$dir/uncached.json" >/dev/null &&
   "$bench" "${flags[@]}" --jobs 1 --cache "$dir/store" \
     --out "$dir/cold.json" >/dev/null &&

@@ -73,8 +73,10 @@ std::optional<unsigned> min_bits_for_loss(double max_collision_rate,
 // -- Extension: a listening-aware success model -------------------------------
 //
 // The paper's §8 names "capturing the effects of listening ... in our
-// model" as future work; this is our version of that extension, compared
-// with simulation by the duty_cycle named sweep (EXPERIMENTS.md, Ablation E).
+// model" as future work; this is our version of that extension.
+// EXPERIMENTS.md's Ablation E sets the duty_cycle named sweep's measured
+// loss beside 1 − p_success_listening(4, 5, q), the duty factor q standing
+// in for hear_prob; no command prints that model column.
 //
 // `hear_prob` (q) is the probability a node hears any given peer's
 // identifier announcement before selecting its own — q < 1 because of

@@ -25,7 +25,7 @@
 // across threads; the crash-point visit counter is atomic. Tally counters
 // follow the FaultInjector convention: registry-backed under "fault.io.*",
 // with a private fallback registry so stats() works standalone (callers
-// serialize, same contract as the serve cache).
+// serialize, same contract as the memo store's cache).
 #pragma once
 
 #include <atomic>

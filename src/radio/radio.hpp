@@ -65,10 +65,6 @@ class Radio {
   /// Installs the host's receive handler (replaces any previous one).
   void set_receive_callback(RxCallback cb) { rx_callback_ = std::move(cb); }
 
-  /// Removes and returns the current receive handler. Used by
-  /// FrameDispatcher to re-home a service's callback as a route.
-  RxCallback take_receive_callback() { return std::move(rx_callback_); }
-
   /// Gates the receiver: while not listening, incoming frames are missed
   /// (no delivery, no receive energy). Transmission is unaffected — a
   /// duty-cycled node wakes to transmit. §3.2: "some nodes may choose to

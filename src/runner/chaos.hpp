@@ -32,6 +32,19 @@
 // trial is bit-identical however trials are sharded across workers, and
 // run_chaos_soak's results are the same for any jobs value — the property
 // the retri_chaos CLI's --jobs 1 vs --jobs 8 check rests on.
+//
+// A soak returns each trial as a ChaosCellRecord, the flat projection of a
+// ChaosTrialResult containing exactly what retri_chaos prints and exports:
+// plan description, the conservation counters, violations, and the
+// canonical fingerprint — deliberately NOT the full nested stats structs,
+// which would drag half the simulator's types into a serialization surface
+// for no consumer. Records are what the memo store keeps (runner/memo.hpp),
+// so a soak given a store serves the seeds earlier runs simulated. A
+// chaos trial's fingerprint cannot be re-derived from the flat record (it
+// covers the nested stats), so the fingerprint stored in the record body
+// stands in for it: a hit is trusted when its CRC passes AND that stored
+// fingerprint equals the one the cache entry was labeled with — a tampered
+// body that still parses fails the cross-check.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +54,10 @@
 #include "aff/reassembler.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
+#include "runner/memo.hpp"
 #include "sim/medium.hpp"
 #include "sim/time.hpp"
+#include "util/json.hpp"
 
 namespace retri::runner {
 
@@ -92,15 +107,46 @@ ChaosTrialResult run_chaos_trial(const ChaosTrialConfig& config);
 /// fingerprints — the jobs=1 vs jobs=8 determinism check compares these.
 std::string fingerprint(const ChaosTrialResult& result);
 
+/// Flat, serializable projection of one chaos trial.
+struct ChaosCellRecord {
+  std::string plan;  // FaultPlan::describe()
+  std::uint64_t packets_offered = 0;
+  std::uint64_t aff_delivered = 0;
+  std::uint64_t truth_delivered = 0;
+  std::uint64_t crashes = 0;
+  std::uint64_t restarts = 0;
+  std::vector<std::string> violations;
+  std::string fingerprint;  // runner::fingerprint at production time
+
+  bool clean() const noexcept { return violations.empty(); }
+  bool operator==(const ChaosCellRecord&) const = default;
+};
+
+ChaosCellRecord project(const ChaosTrialResult& result);
+
+/// The one encoding of a ChaosCellRecord: the memo store's entry body and
+/// each trial of retri_chaos's --out artifact (nested in its writer).
+void write_chaos_record(util::JsonWriter& json, const ChaosCellRecord& record);
+
 struct ChaosSoakOptions {
   unsigned seeds = 50;  // number of independent trials
   unsigned jobs = 1;
+  /// Directory of the on-disk memo store; empty = no store. Trial i is
+  /// keyed by its config with the trial seed baked in, under kCodeVersion,
+  /// and stored as a "chaos-trial" entry.
+  std::string cache_dir;
 };
 
-/// Runs `options.seeds` trials (at least one). Trial i's config is `base`
-/// with seed derive_trial_seed(base.seed, i); results come back in trial
-/// order for any jobs value.
-std::vector<ChaosTrialResult> run_chaos_soak(const ChaosTrialConfig& base,
-                                             const ChaosSoakOptions& options);
+struct ChaosSoakResult {
+  std::vector<ChaosCellRecord> records;  // in trial order
+  MemoStats memo;  // trials served from the store vs simulated
+};
+
+/// Runs `options.seeds` trials (at least one) that the store, if any, does
+/// not hold. Trial i's config is `base` with seed derive_trial_seed(
+/// base.seed, i); records come back in trial order, bit-identical for any
+/// jobs value, cold or warm.
+ChaosSoakResult run_chaos_soak(const ChaosTrialConfig& base,
+                               const ChaosSoakOptions& options);
 
 }  // namespace retri::runner

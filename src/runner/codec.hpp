@@ -1,6 +1,6 @@
 // The one JSON encoding of an ExperimentConfig and of an ExperimentResult.
 //
-// Both the memo store (serve::memoize keys every sweep-trial entry by
+// Both the memo store (runner::memoize keys every sweep-trial entry by
 // canonical_cell() and stores an encode_result() body) and the sweep
 // artifact (ResultSink writes each point's config with write_config() and
 // each trial with write_result()) use these writers, so what an artifact

@@ -1,14 +1,26 @@
 #include "runner/sweep.hpp"
 
+#include <iterator>
 #include <mutex>
 #include <utility>
 
+#include "runner/codec.hpp"
 #include "runner/seeds.hpp"
-#include "runner/thread_pool.hpp"
 #include "stats/table.hpp"
 
 namespace retri::runner {
 namespace {
+
+// runner::fingerprint is re-derived from every decoded hit, so a body that
+// decodes cleanly but no longer describes the trial it is filed under is
+// rejected.
+constexpr CellKind<ExperimentConfig, ExperimentResult> kSweepTrial{
+    "sweep-trial",
+    &canonical_cell,
+    [](const ExperimentConfig& config) { return run_experiment(config); },
+    &encode_result,
+    &decode_result_text,
+    &fingerprint};
 
 template <typename T>
 std::vector<T> axis_or(const std::vector<T>& axis, const T& base_value) {
@@ -116,41 +128,51 @@ std::vector<SweepPoint> SweepSpec::expand() const {
 SweepRunner::SweepRunner(SweepOptions options) : options_(std::move(options)) {}
 
 SweepResult SweepRunner::run(const SweepSpec& spec) const {
-  SweepResult out;
-  out.spec = spec;
-
   const std::vector<SweepPoint> points = spec.expand();
   const unsigned trials = spec.trials == 0 ? 1 : spec.trials;
-  out.points.resize(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    out.points[p].label = points[p].label;
-    out.points[p].config = points[p].config;
-    out.points[p].trials.resize(trials);
+
+  // Cell i is trial i % trials of point i / trials. Every (point, trial)
+  // pair is one cell, so points with few trials never serialize the
+  // sweep's tail.
+  std::vector<ExperimentConfig> cells;
+  cells.reserve(points.size() * trials);
+  for (const SweepPoint& point : points) {
+    for (unsigned t = 0; t < trials; ++t) {
+      cells.push_back(point.config);
+      cells.back().seed = derive_trial_seed(point.config.seed, t);
+    }
   }
 
   std::mutex progress_mutex;
   std::size_t points_done = 0;
   std::vector<unsigned> remaining(points.size(), trials);
-  // Every (point, trial) pair is one job, so points with few trials never
-  // serialize the sweep's tail.
-  parallel_for(points.size() * trials, options_.jobs, [&](std::size_t i) {
+  const auto on_cell = [&](std::size_t i) {
     const std::size_t p = i / trials;
-    const std::size_t t = i % trials;
-    ExperimentConfig config = points[p].config;
-    config.seed = derive_trial_seed(points[p].config.seed, t);
-    out.points[p].trials[t] = run_experiment(config);
-
     const std::lock_guard<std::mutex> lock(progress_mutex);
     if (--remaining[p] == 0) {
       ++points_done;
       if (options_.on_point_done) {
         options_.on_point_done(
-            {points_done, points.size(), p, out.points[p].label});
+            {points_done, points.size(), p, points[p].label});
       }
     }
-  });
+  };
 
-  for (SweepPointResult& point : out.points) {
+  SweepResult out;
+  out.spec = spec;
+  std::vector<ExperimentResult> results;
+  out.memo = memoize(kSweepTrial, cells, options_.cache_dir, options_.jobs,
+                     results, on_cell);
+
+  out.points.resize(points.size());
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    SweepPointResult& point = out.points[p];
+    point.label = points[p].label;
+    point.config = points[p].config;
+    const auto first =
+        results.begin() + static_cast<std::ptrdiff_t>(p * trials);
+    point.trials.assign(std::make_move_iterator(first),
+                        std::make_move_iterator(first + trials));
     point.summary = TrialRunner::summarize(point.trials);
   }
   return out;
@@ -242,8 +264,7 @@ util::Result<SweepSpec, std::string> make_named_sweep(std::string_view name) {
     // every attacker mode across offered load, at a width (H=6) narrow
     // enough that collisions — accidental or forged — actually happen.
     spec.description =
-        "selector zoo x attacker mode x offered load (H=6, Eq. 4 "
-        "efficiency)";
+        "selector zoo x attacker mode x offered load (H=6)";
     spec.base.id_bits = 6;
     spec.selectors = {core::uniform_selector(),
                       core::listening_selector(),

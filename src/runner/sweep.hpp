@@ -3,12 +3,15 @@
 // Every figure and ablation bench is "a grid of ExperimentConfigs × N
 // trials"; SweepSpec captures the grid declaratively (axes over identifier
 // width, selector spec, attacker mode, sender count, listening duty,
-// density estimator) instead of as a bespoke for-loop per binary. SweepRunner flattens the
-// whole grid — every (point, trial) pair — into one ThreadPool so a sweep
-// saturates the machine even when individual points have few trials, while
-// each result lands in its (point, trial) slot and determinism is preserved
-// exactly as in TrialRunner. make_named_sweep() is the registry behind the
-// unified `retri_bench` CLI (fig1–fig4 and the ablation grids).
+// density estimator) instead of as a bespoke for-loop per binary.
+// SweepRunner flattens the whole grid — every (point, trial) pair — into
+// one batch of cells for memoize (runner/memo.hpp), so a sweep saturates
+// the machine even when individual points have few trials, while each
+// result lands in its (point, trial) slot and determinism is preserved
+// exactly as in TrialRunner. Given a store (SweepOptions::cache_dir), the
+// same run serves the cells the store already holds. make_named_sweep() is
+// the registry behind the unified `retri_bench` CLI (fig1–fig4 and the
+// ablation grids).
 #pragma once
 
 #include <cstddef>
@@ -17,6 +20,7 @@
 #include <string_view>
 #include <vector>
 
+#include "runner/memo.hpp"
 #include "runner/trial_runner.hpp"
 #include "util/result.hpp"
 
@@ -63,7 +67,8 @@ struct SweepSpec {
   std::vector<SweepPoint> expand() const;
 };
 
-/// Per-point completion notification (fires when a point's last trial ends).
+/// Per-point completion notification (fires when a point's last trial is
+/// simulated or served from the store).
 struct SweepProgress {
   std::size_t points_done = 0;
   std::size_t points_total = 0;
@@ -75,6 +80,11 @@ struct SweepOptions {
   unsigned jobs = 1;
   /// Serialized under a mutex; may run on worker threads.
   std::function<void(const SweepProgress&)> on_point_done;
+  /// Directory of the on-disk memo store; empty = no store. Cell (point p,
+  /// trial t) is keyed by canonical_cell of p's config with seed
+  /// derive_trial_seed(p's seed, t), under kCodeVersion, and stored as a
+  /// "sweep-trial" entry. The result is the same with or without a store.
+  std::string cache_dir;
 };
 
 struct SweepPointResult {
@@ -87,14 +97,16 @@ struct SweepPointResult {
 struct SweepResult {
   SweepSpec spec;
   std::vector<SweepPointResult> points;  // in grid-expansion order
+  MemoStats memo;  // cells served from the store vs simulated
 };
 
 class SweepRunner {
  public:
   explicit SweepRunner(SweepOptions options = {});
 
-  /// Runs every (point, trial) job in the grid. Results are bit-identical
-  /// for any jobs value.
+  /// Runs every (point, trial) cell in the grid that the store, if any,
+  /// does not hold. Results are bit-identical for any jobs value, cold or
+  /// warm.
   SweepResult run(const SweepSpec& spec) const;
 
  private:

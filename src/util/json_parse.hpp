@@ -1,6 +1,6 @@
 // Minimal recursive-descent JSON parser — the read half of util/json.hpp.
 //
-// Until retri::serve, every artifact the repo produced was write-only: the
+// Until the memo store, every artifact the repo produced was write-only: the
 // JsonWriter emitted sweep and trace files and external tools consumed
 // them. The memo store closes the loop — its cache entries (and the result
 // bodies and metrics objects inside them) are JSON this process must read
@@ -10,7 +10,7 @@
 // Design points:
 //   - JsonValue is a plain ordered DOM: object members keep document order
 //     in a vector (deterministic iteration, byte-stable re-emission),
-//     lookup is a linear scan (serve documents have tens of keys, not
+//     lookup is a linear scan (memo documents have tens of keys, not
 //     thousands).
 //   - Numbers keep their raw token. A 64-bit derived seed does not survive
 //     a double round-trip, so as_u64()/as_i64() re-parse the original token

@@ -46,20 +46,20 @@ TEST(ChaosSoak, JobsDoNotChangeResults) {
   runner::ChaosSoakOptions parallel = serial;
   parallel.jobs = 4;
 
-  const auto a = runner::run_chaos_soak(base, serial);
-  const auto b = runner::run_chaos_soak(base, parallel);
+  const auto a = runner::run_chaos_soak(base, serial).records;
+  const auto b = runner::run_chaos_soak(base, parallel).records;
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(runner::fingerprint(a[i]), runner::fingerprint(b[i]))
-        << "trial " << i;
+    EXPECT_EQ(a[i].fingerprint, b[i].fingerprint) << "trial " << i;
   }
 }
 
 TEST(ChaosSoak, ZeroSeedsRunsOneTrial) {
   runner::ChaosSoakOptions options;
   options.seeds = 0;
-  const auto results = runner::run_chaos_soak(quick_config(3), options);
-  EXPECT_EQ(results.size(), 1u);
+  const auto soak = runner::run_chaos_soak(quick_config(3), options);
+  EXPECT_EQ(soak.records.size(), 1u);
+  EXPECT_EQ(soak.memo.simulated, 1u);
 }
 
 }  // namespace

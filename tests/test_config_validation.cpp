@@ -10,7 +10,6 @@
 #include "aff/driver.hpp"
 #include "aff/reassembler.hpp"
 #include "aff/wire.hpp"
-#include "apps/flood.hpp"
 #include "apps/interest.hpp"
 #include "core/selector.hpp"
 #include "net/addressed_frag.hpp"
@@ -172,18 +171,6 @@ TEST(WireConfigValidation, RejectsBadIdBits) {
   EXPECT_THROW((void)aff::validated(config), std::invalid_argument);
   config.id_bits = 64;  // boundary is legal
   EXPECT_NO_THROW((void)aff::validated(config));
-}
-
-TEST(FloodConfigValidation, RejectsZeroTtlAndWindow) {
-  apps::FloodConfig config;
-  config.default_ttl = 0;
-  EXPECT_THROW((void)apps::validated(config), std::invalid_argument);
-
-  config = apps::FloodConfig{};
-  config.seen_window = 0;
-  EXPECT_THROW((void)apps::validated(config), std::invalid_argument);
-
-  EXPECT_NO_THROW((void)apps::validated(apps::FloodConfig{}));
 }
 
 TEST(SensorConfigValidation, RejectsInvertedPeriods) {

@@ -14,7 +14,6 @@
 #include "aff/driver.hpp"
 #include "apps/codebook.hpp"
 #include "apps/diffusion.hpp"
-#include "apps/flood.hpp"
 #include "apps/interest.hpp"
 #include "net/addressed_frag.hpp"
 #include "net/central_alloc.hpp"
@@ -254,17 +253,6 @@ TEST(FuzzServices, CentralAllocClientAndServer) {
         return client;
       },
       {util::Bytes{0x26, 1, 2, 3, 4, 0, 9}, util::Bytes{0x27, 1, 2, 3, 4}});
-}
-
-TEST(FuzzServices, ScopedFlooder) {
-  core::UniformSelector selector(core::IdSpace(8), 15);
-  fuzz_service_over_radio(
-      16,
-      [&selector](radio::Radio& radio) {
-        return std::make_unique<apps::ScopedFlooder>(radio, selector,
-                                                     apps::FloodConfig{}, 1);
-      },
-      {util::Bytes{0x51, 0x07, 0, 0, 0, 1, 3, 0xaa, 0xbb}});
 }
 
 TEST(FuzzServices, DiffusionNode) {

@@ -1,4 +1,4 @@
-// util::parse_json — the read half of the JSON loop the serve subsystem
+// util::parse_json — the read half of the JSON loop the memo store
 // closes. The tests concentrate on what the cache/wire layers depend on:
 // exact 64-bit integer round-trips (raw-token re-parse), document-order
 // member iteration, strict whole-document parsing, and bounded recursion

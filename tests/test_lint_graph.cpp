@@ -204,10 +204,10 @@ TEST(LintGraphDefaultTable, RealTreeRulesShareOneLayerTable) {
   EXPECT_EQ(layer->pattern, cycle->pattern);
   const auto spec = lint::LayerSpec::parse(layer->pattern);
   // The foundation and the top of the stack, pinned: utilities below
-  // everything, the serving daemon above everything.
+  // everything, the runner (trials, sweeps, memo store) above everything.
   ASSERT_GE(spec.order.size(), 2u);
   EXPECT_EQ(spec.order.front(), "util");
-  EXPECT_EQ(spec.order.back(), "serve");
+  EXPECT_EQ(spec.order.back(), "runner");
 }
 
 }  // namespace

@@ -174,17 +174,17 @@ TEST(LintRules, DirectIoBannedInLibraryAllowedInCliScopes) {
 }
 
 TEST(LintRules, ServeDaemonIoIsAnchorSanctionedNotPathExempt) {
-  // src/serve is a library scope like any other: its daemon's stderr
-  // diagnostics are sanctioned line by line with allow() anchors, never by
-  // widening the rule's path allowlist.
+  // The memo store under src/runner is a library scope like any other: a
+  // stderr diagnostic there is sanctioned line by line with an allow()
+  // anchor, never by widening the rule's path allowlist.
   const std::string bare =
-      "std::fprintf(stderr, \"retri_serve: listening on %s\\n\", path);\n";
-  EXPECT_TRUE(has_violation(scan("src/serve/daemon.cpp", bare),
+      "std::fprintf(stderr, \"cache: quarantined %s\\n\", path);\n";
+  EXPECT_TRUE(has_violation(scan("src/runner/cache.cpp", bare),
                             "no-direct-io"));
   const std::string anchored =
       "std::fprintf(stderr,  // retri-lint: allow(no-direct-io)\n"
-      "             \"retri_serve: listening on %s\\n\", path);\n";
-  EXPECT_FALSE(has_violation(scan("src/serve/daemon.cpp", anchored),
+      "             \"cache: quarantined %s\\n\", path);\n";
+  EXPECT_FALSE(has_violation(scan("src/runner/cache.cpp", anchored),
                              "no-direct-io"));
 }
 
@@ -581,23 +581,24 @@ TEST(LintConfigValidated, BaselineSuppressesWhileRolloutPends) {
 }  // namespace
 
 TEST(LintRules, BareOfstreamStoreBannedUnderServeOnly) {
-  // Any raw persistent-write opening under src/serve bypasses the atomic
-  // temp+fsync+rename writer and can tear a live cache entry on crash.
+  // Any raw persistent-write opening under src/runner, the memo store's
+  // home, bypasses the atomic temp+fsync+rename writer and can tear a live
+  // cache entry on crash.
   const std::string ofstream_body =
       "#include <fstream>\n"
       "void store() { std::ofstream out(\"entry.json\"); }\n";
   const std::string open_body =
       "void store() { int fd = ::open(\"x\", 0); (void)fd; }\n";
-  EXPECT_TRUE(has_violation(scan("src/serve/cache.cpp", ofstream_body),
+  EXPECT_TRUE(has_violation(scan("src/runner/cache.cpp", ofstream_body),
                             "no-bare-ofstream-store"));
-  EXPECT_TRUE(has_violation(scan("src/serve/server.cpp", open_body),
+  EXPECT_TRUE(has_violation(scan("src/runner/sweep.cpp", open_body),
                             "no-bare-ofstream-store"));
   // Out of scope: the same code elsewhere is some other rule's business.
-  EXPECT_FALSE(has_violation(scan("src/runner/export.cpp", ofstream_body),
+  EXPECT_FALSE(has_violation(scan("src/obs/export.cpp", ofstream_body),
                              "no-bare-ofstream-store"));
   // Reads don't persist anything; std::ifstream must not match.
   EXPECT_FALSE(has_violation(
-      scan("src/serve/cache.cpp",
+      scan("src/runner/cache.cpp",
            "#include <fstream>\n"
            "void load() { std::ifstream in(\"entry.json\"); }\n"),
       "no-bare-ofstream-store"));
@@ -605,7 +606,7 @@ TEST(LintRules, BareOfstreamStoreBannedUnderServeOnly) {
 
 TEST(LintRules, AtomicWriterAnchorsEscapeBareStoreRule) {
   const auto vs =
-      scan("src/serve/io.cpp",
+      scan("src/runner/io.cpp",
            "int fd = ::open(  // retri-lint: allow(no-bare-ofstream-store)\n"
            "    \"tmp\", 0);\n");
   EXPECT_FALSE(has_violation(vs, "no-bare-ofstream-store"));

@@ -9,10 +9,10 @@
 // replays a single trial, since trial 0's derived seed is the base seed's
 // first derivation — use the printed trial_seed with --raw-seed instead).
 //
-// --cache DIR memoizes trials in a serve::ResultCache store: a re-run
-// serves the seeds earlier runs simulated from disk and only simulates the
-// remainder. Cached records are fingerprint-verified on every hit; output
-// is bit-identical to an uncached soak.
+// --cache DIR gives the soak a memo store (ChaosSoakOptions::cache_dir): a
+// re-run serves the seeds earlier runs simulated from disk and only
+// simulates the remainder. Cached records are fingerprint-verified on every
+// hit; output is bit-identical to an uncached soak.
 //
 // Determinism contract: output and JSON artifact are pure functions of
 // (--seeds, --seconds, --senders, --bits, --seed); --jobs only shards
@@ -29,7 +29,6 @@
 #include "obs/export.hpp"
 #include "runner/chaos.hpp"
 #include "runner/seeds.hpp"
-#include "serve/chaos_cells.hpp"
 #include "sim/time.hpp"
 #include "util/json.hpp"
 #include "util/parse_number.hpp"
@@ -131,7 +130,7 @@ int parse_args(int argc, char** argv, Args& args) {
 
 std::string soak_json(
     const Args& args,
-    const std::vector<retri::serve::ChaosCellRecord>& records) {
+    const std::vector<retri::runner::ChaosCellRecord>& records) {
   retri::util::JsonWriter json(/*pretty=*/true);
   json.begin_object();
   json.member("schema", "retri.chaos-soak");
@@ -160,7 +159,7 @@ std::string soak_json(
                     ? args.seed
                     : retri::runner::derive_trial_seed(args.seed, i));
     json.key("record");
-    retri::serve::write_chaos_record(json, records[i]);
+    retri::runner::write_chaos_record(json, records[i]);
     json.end_object();
   }
   json.end_array();
@@ -181,29 +180,24 @@ int main(int argc, char** argv) {
   base.send_duration = retri::sim::Duration::from_seconds(args.seconds);
   base.seed = args.seed;
 
-  std::vector<retri::serve::ChaosCellRecord> records;
+  std::vector<retri::runner::ChaosCellRecord> records;
   if (args.raw_seed) {
     // Replay mode: run --seed verbatim as a single trial (no derivation),
     // so a trial_seed printed by a soak reproduces that exact trial.
-    retri::runner::ChaosTrialConfig replay = base;
     records.push_back(
-        retri::serve::project(retri::runner::run_chaos_trial(replay)));
-  } else if (!args.cache.empty()) {
-    retri::serve::MemoOptions options;
-    options.cache_dir = args.cache;
-    options.jobs = args.jobs;
-    retri::serve::CachedChaosSoak soak =
-        retri::serve::run_cached_chaos_soak(base, args.seeds, options);
-    records = std::move(soak.records);
-    std::printf("cache %s: %llu hits, %llu simulated\n", args.cache.c_str(),
-                static_cast<unsigned long long>(soak.stats.hits),
-                static_cast<unsigned long long>(soak.stats.misses));
+        retri::runner::project(retri::runner::run_chaos_trial(base)));
   } else {
     retri::runner::ChaosSoakOptions options;
     options.seeds = args.seeds;
     options.jobs = args.jobs;
-    for (const auto& run : retri::runner::run_chaos_soak(base, options)) {
-      records.push_back(retri::serve::project(run));
+    options.cache_dir = args.cache;
+    retri::runner::ChaosSoakResult soak =
+        retri::runner::run_chaos_soak(base, options);
+    records = std::move(soak.records);
+    if (!args.cache.empty()) {
+      std::printf("cache %s: %llu hits, %llu simulated\n", args.cache.c_str(),
+                  static_cast<unsigned long long>(soak.memo.hits),
+                  static_cast<unsigned long long>(soak.memo.simulated));
     }
   }
 

@@ -187,18 +187,18 @@ std::vector<Rule> make_default_rules() {
       R"(\bstd::ofstream\b|\bfopen\s*\(|::open\s*\()",
       {},
       {},
-      "persistent writes under src/serve must go through "
-      "serve::atomic_write_file (temp + fsync + rename) so a crash can tear "
-      "only a *.tmp, never a live entry; the atomic writer itself carries "
-      "the only retri-lint: allow(no-bare-ofstream-store) anchors",
-      {"src/serve/"}});
+      "persistent writes under src/runner must go through "
+      "runner::atomic_write_file (temp + fsync + rename) so a crash can "
+      "tear only a *.tmp, never a live memo entry; the atomic writer itself "
+      "carries the only retri-lint: allow(no-bare-ofstream-store) anchors",
+      {"src/runner/"}});
 
   // The declared layer order: `a < b` means b may include a, never the
   // reverse. Both graph rules share it so the cycle checker knows the
   // module universe.
   const std::string layer_order =
       "util < obs < core < sim < radio < aff < net < apps < stats < "
-      "fault < runner < serve";
+      "fault < runner";
 
   rules.push_back(Rule{
       "layer-order",
