@@ -182,7 +182,7 @@ util::Result<core::TransactionId, SendError> AffDriver::send_packet(
     spans_->annotate(span, "bytes", packet.size());
   }
 
-  auto frames = fragmenter_.fragment(packet, id, true_id);
+  const auto frames = fragmenter_.frames_for(packet);
   if (!frames) {
     counters_.send_failures.inc();
     if (spans_ != nullptr) spans_->end(span, now, "send_failed");
@@ -195,17 +195,20 @@ util::Result<core::TransactionId, SendError> AffDriver::send_packet(
   }
 
   const std::size_t backlog = radio_.queue_depth();
-  const std::size_t nframes = frames.value().size();
-  for (auto& frame : frames.value()) {
-    const std::size_t frame_bytes = frame.size();
-    if (!radio_.send(std::move(frame))) {
+  const std::size_t nframes = frames.value();
+  // Sized once for the largest frame, so a short intro encoded first does
+  // not leave the buffer to regrow for the data frames after it.
+  frame_.reserve(fragmenter_.config().max_frame_bytes);
+  for (std::size_t i = 0; i < nframes; ++i) {
+    fragmenter_.encode_frame(packet, id, true_id, i, frame_);
+    if (!radio_.send(util::BytesView(frame_))) {
       counters_.send_failures.inc();
       if (spans_ != nullptr) spans_->end(span, now, "send_failed");
       return SendError::kRadioRejected;  // cannot happen if fragmenter agrees with radio
     }
     if (spans_ != nullptr) {
       spans_->instant("frag_tx", "aff", radio_.node(), now, span,
-                      static_cast<std::uint64_t>(frame_bytes));
+                      static_cast<std::uint64_t>(frame_.size()));
     }
   }
   counters_.packets_sent.inc();
@@ -248,8 +251,9 @@ void AffDriver::maybe_notify_collision(std::uint64_t key) {
   prev_conflicting_writes_ = conflicts;
   if (!config_.send_collision_notifications) return;
   counters_.notifications_sent.inc();
-  radio_.send(encode_notify(config_.wire,
-                            CollisionNotify{core::TransactionId(key)}));
+  encode_notify(config_.wire, CollisionNotify{core::TransactionId(key)},
+                frame_);
+  radio_.send(util::BytesView(frame_));
 }
 
 void AffDriver::handle_intro(const IntroFragment& intro,

@@ -171,6 +171,9 @@ class AffDriver {
   // Keyed by guaranteed-unique packet id; null without truth_reassembly.
   std::unique_ptr<Reassembler> truth_reassembler_;
   std::unique_ptr<core::DensityModel> density_;
+  // Every frame this driver sends, notifications included, is encoded here
+  // and handed to the radio as a view; the buffer keeps its capacity.
+  util::Bytes frame_;
   std::uint64_t node_uid_;
   std::uint64_t next_packet_seq_ = 0;
   std::uint64_t prev_conflicting_writes_ = 0;

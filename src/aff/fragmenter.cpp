@@ -29,35 +29,44 @@ std::size_t Fragmenter::frame_count(std::size_t packet_bytes) const noexcept {
   return 1 + (packet_bytes + payload_per_fragment_ - 1) / payload_per_fragment_;
 }
 
-util::Result<std::vector<util::Bytes>, FragmentError> Fragmenter::fragment(
-    util::BytesView packet, core::TransactionId id,
-    std::uint64_t true_packet_id) const {
+util::Result<std::size_t, FragmentError> Fragmenter::frames_for(
+    util::BytesView packet) const {
   if (packet.empty()) return FragmentError::kEmptyPacket;
   if (packet.size() > 0xffff) return FragmentError::kPacketTooLarge;
   if (payload_per_fragment_ == 0 ||
       intro_header_bytes(config_.wire) > config_.max_frame_bytes) {
     return FragmentError::kFrameTooSmall;
   }
+  return frame_count(packet.size());
+}
 
-  std::vector<util::Bytes> frames;
-  frames.reserve(frame_count(packet.size()));
+void Fragmenter::encode_frame(util::BytesView packet, core::TransactionId id,
+                              std::uint64_t true_packet_id, std::size_t index,
+                              util::Bytes& frame) const {
+  const std::optional<std::uint64_t> true_id =
+      config_.wire.instrumented ? std::optional<std::uint64_t>(true_packet_id)
+                                : std::nullopt;
+  if (index == 0) {
+    const IntroFragment intro{id, static_cast<std::uint16_t>(packet.size()),
+                              util::crc32(packet)};
+    encode_intro(config_.wire, intro, true_id, frame);
+    return;
+  }
+  const std::size_t offset = (index - 1) * payload_per_fragment_;
+  const std::size_t n = std::min(payload_per_fragment_, packet.size() - offset);
+  const DataFragment data{id, static_cast<std::uint16_t>(offset),
+                          packet.subspan(offset, n)};
+  encode_data(config_.wire, data, true_id, frame);
+}
 
-  const IntroFragment intro{id, static_cast<std::uint16_t>(packet.size()),
-                            util::crc32(packet)};
-  frames.push_back(encode_intro(config_.wire, intro,
-                                config_.wire.instrumented
-                                    ? std::optional<std::uint64_t>(true_packet_id)
-                                    : std::nullopt));
-
-  for (std::size_t offset = 0; offset < packet.size();
-       offset += payload_per_fragment_) {
-    const std::size_t n = std::min(payload_per_fragment_, packet.size() - offset);
-    DataFragment data{id, static_cast<std::uint16_t>(offset),
-                      packet.subspan(offset, n)};
-    frames.push_back(encode_data(config_.wire, data,
-                                 config_.wire.instrumented
-                                     ? std::optional<std::uint64_t>(true_packet_id)
-                                     : std::nullopt));
+util::Result<std::vector<util::Bytes>, FragmentError> Fragmenter::fragment(
+    util::BytesView packet, core::TransactionId id,
+    std::uint64_t true_packet_id) const {
+  const auto count = frames_for(packet);
+  if (!count) return count.error();
+  std::vector<util::Bytes> frames(count.value());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    encode_frame(packet, id, true_packet_id, i, frames[i]);
   }
   return frames;
 }

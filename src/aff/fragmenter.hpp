@@ -44,8 +44,22 @@ class Fragmenter {
   /// Total frames (intro + data) a packet of `packet_bytes` needs.
   std::size_t frame_count(std::size_t packet_bytes) const noexcept;
 
-  /// Builds the wire frames for `packet` under identifier `id`.
-  /// In instrumented mode every frame additionally carries `true_packet_id`.
+  /// The number of frames `packet` needs, or why it cannot be sent.
+  util::Result<std::size_t, FragmentError> frames_for(
+      util::BytesView packet) const;
+
+  /// Encodes frame `index` of `packet` into `frame`: index 0 is the
+  /// introduction, then the data fragments in offset order. `frame`'s
+  /// contents are replaced and its capacity kept, so one buffer reused for
+  /// every frame encodes without allocating once warm. In instrumented mode
+  /// every frame additionally carries `true_packet_id`.
+  /// Precondition: index < frames_for(packet).value().
+  void encode_frame(util::BytesView packet, core::TransactionId id,
+                    std::uint64_t true_packet_id, std::size_t index,
+                    util::Bytes& frame) const;
+
+  /// Builds all the wire frames for `packet` under identifier `id`, each
+  /// in its own buffer, with encode_frame.
   util::Result<std::vector<util::Bytes>, FragmentError> fragment(
       util::BytesView packet, core::TransactionId id,
       std::uint64_t true_packet_id = 0) const;

@@ -1,5 +1,7 @@
 #include "aff/wire.hpp"
 
+#include <utility>
+
 #include "util/bitops.hpp"
 #include "util/validate.hpp"
 
@@ -35,35 +37,59 @@ std::size_t data_header_bytes(const WireConfig& config) noexcept {
          util::bytes_for_bits(config.id_bits) + 2;
 }
 
-util::Bytes encode_intro(const WireConfig& config, const IntroFragment& f,
-                         std::optional<std::uint64_t> true_packet_id) {
-  util::BufferWriter w(intro_header_bytes(config));
+void encode_intro(const WireConfig& config, const IntroFragment& f,
+                  std::optional<std::uint64_t> true_packet_id,
+                  util::Bytes& out) {
+  util::BufferWriter w(std::move(out), intro_header_bytes(config));
   w.u8(kind_byte(FragmentKind::kIntro, config.instrumented));
   if (config.instrumented) w.u64(true_packet_id.value_or(0));
   w.uvar(f.id.value(), config.id_bits);
   w.u16(f.total_len);
   w.u32(f.checksum);
-  return w.take();
+  out = w.take();
 }
 
-util::Bytes encode_data(const WireConfig& config, const DataFragment& f,
-                        std::optional<std::uint64_t> true_packet_id) {
-  util::BufferWriter w(data_header_bytes(config) + f.payload.size());
+void encode_data(const WireConfig& config, const DataFragment& f,
+                 std::optional<std::uint64_t> true_packet_id,
+                 util::Bytes& out) {
+  util::BufferWriter w(std::move(out),
+                       data_header_bytes(config) + f.payload.size());
   w.u8(kind_byte(FragmentKind::kData, config.instrumented));
   if (config.instrumented) w.u64(true_packet_id.value_or(0));
   w.uvar(f.id.value(), config.id_bits);
   w.u16(f.offset);
   w.raw(f.payload);
-  return w.take();
+  out = w.take();
+}
+
+void encode_notify(const WireConfig& config, const CollisionNotify& f,
+                   util::Bytes& out) {
+  // Notifications are never instrumented: they reference an AFF id, not a
+  // particular packet.
+  util::BufferWriter w(std::move(out), 1 + util::bytes_for_bits(config.id_bits));
+  w.u8(kind_byte(FragmentKind::kCollisionNotify, false));
+  w.uvar(f.id.value(), config.id_bits);
+  out = w.take();
+}
+
+util::Bytes encode_intro(const WireConfig& config, const IntroFragment& f,
+                         std::optional<std::uint64_t> true_packet_id) {
+  util::Bytes out;
+  encode_intro(config, f, true_packet_id, out);
+  return out;
+}
+
+util::Bytes encode_data(const WireConfig& config, const DataFragment& f,
+                        std::optional<std::uint64_t> true_packet_id) {
+  util::Bytes out;
+  encode_data(config, f, true_packet_id, out);
+  return out;
 }
 
 util::Bytes encode_notify(const WireConfig& config, const CollisionNotify& f) {
-  // Notifications are never instrumented: they reference an AFF id, not a
-  // particular packet.
-  util::BufferWriter w(1 + util::bytes_for_bits(config.id_bits));
-  w.u8(kind_byte(FragmentKind::kCollisionNotify, false));
-  w.uvar(f.id.value(), config.id_bits);
-  return w.take();
+  util::Bytes out;
+  encode_notify(config, f, out);
+  return out;
 }
 
 std::optional<DecodedFragment> decode(const WireConfig& config,

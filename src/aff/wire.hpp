@@ -87,6 +87,16 @@ util::Bytes encode_data(const WireConfig& config, const DataFragment& f,
                         std::optional<std::uint64_t> true_packet_id = std::nullopt);
 util::Bytes encode_notify(const WireConfig& config, const CollisionNotify& f);
 
+/// The same encodings written into `out`, replacing its contents but
+/// keeping its capacity: one buffer reused for every frame encodes without
+/// allocating once it has held the largest.
+void encode_intro(const WireConfig& config, const IntroFragment& f,
+                  std::optional<std::uint64_t> true_packet_id, util::Bytes& out);
+void encode_data(const WireConfig& config, const DataFragment& f,
+                 std::optional<std::uint64_t> true_packet_id, util::Bytes& out);
+void encode_notify(const WireConfig& config, const CollisionNotify& f,
+                   util::Bytes& out);
+
 /// Decodes any AFF frame. Returns nullopt on truncation, unknown kind, or
 /// an instrumentation flag mismatching the configuration — a malformed
 /// frame is dropped, never trusted.

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "util/bytes.hpp"
-
 namespace retri::apps {
 
 PeriodicWorkload::PeriodicWorkload(sim::Duration period, std::size_t packet_bytes,
@@ -69,14 +67,14 @@ TrafficSource::TrafficSource(sim::Simulator& sim, aff::AffDriver& driver,
       driver_(driver),
       workload_(std::move(workload)),
       rng_(seed),
-      max_backlog_frames_(max_backlog_frames),
-      alive_(std::make_shared<bool>(true)) {
+      max_backlog_frames_(max_backlog_frames) {
   assert(workload_ != nullptr);
 }
 
-TrafficSource::~TrafficSource() { *alive_ = false; }
+TrafficSource::~TrafficSource() { poll_.cancel(); }
 
 void TrafficSource::start(sim::TimePoint until) {
+  poll_.cancel();
   until_ = until;
   running_ = true;
   // The first send happens after the workload's first gap, like every
@@ -88,37 +86,36 @@ void TrafficSource::start(sim::TimePoint until) {
 void TrafficSource::stop() { running_ = false; }
 
 void TrafficSource::schedule_pending(sim::Duration gap) {
-  std::weak_ptr<bool> alive = alive_;
-  sim_.schedule_after(gap, [this, alive]() {
-    const auto flag = alive.lock();
-    if (!flag || !*flag) return;
-    if (!running_ || sim_.now() >= until_) return;
+  poll_ = sim_.schedule_after(gap, [this]() { poll(); });
+}
 
-    if (driver_.radio().queue_depth() > max_backlog_frames_) {
-      // Radio is backlogged: wait roughly one frame slot and retry without
-      // consuming a new plan, which paces a saturating workload to exactly
-      // the channel rate.
-      const sim::Duration slot =
-          driver_.radio().airtime(driver_.radio().config().max_frame_bytes) +
-          driver_.radio().config().interframe_gap;
-      schedule_pending(slot);
-      return;
-    }
+void TrafficSource::poll() {
+  if (!running_ || sim_.now() >= until_) return;
 
-    fire();
-    pending_ = workload_->next(rng_);
-    schedule_pending(pending_.gap);
-  });
+  if (driver_.radio().queue_depth() > max_backlog_frames_) {
+    // Radio is backlogged: wait roughly one frame slot and retry without
+    // consuming a new plan, which paces a saturating workload to exactly
+    // the channel rate.
+    const sim::Duration slot =
+        driver_.radio().airtime(driver_.radio().config().max_frame_bytes) +
+        driver_.radio().config().interframe_gap;
+    schedule_pending(slot);
+    return;
+  }
+
+  fire();
+  pending_ = workload_->next(rng_);
+  schedule_pending(pending_.gap);
 }
 
 void TrafficSource::fire() {
-  const util::Bytes payload =
-      util::random_payload(pending_.size, rng_.next() ^ (payload_seq_ << 1));
+  util::fill_random_payload(payload_, pending_.size,
+                            rng_.next() ^ (payload_seq_ << 1));
   ++payload_seq_;
-  if (driver_.send_packet(payload)) {
+  if (driver_.send_packet(payload_)) {
     ++packets_sent_;
     bytes_sent_ += pending_.size;
-    if (observer_) observer_(payload);
+    if (observer_) observer_(payload_);
   }
 }
 

@@ -21,6 +21,7 @@
 
 #include "aff/driver.hpp"
 #include "sim/engine.hpp"
+#include "util/bytes.hpp"
 #include "util/random.hpp"
 
 namespace retri::apps {
@@ -103,19 +104,22 @@ class TrafficSource {
   TrafficSource(sim::Simulator& sim, aff::AffDriver& driver,
                 std::unique_ptr<Workload> workload, std::uint64_t seed,
                 std::size_t max_backlog_frames = 0);
+  /// Cancels the pending poll, so a source destroyed mid-run fires nothing.
   ~TrafficSource();
 
   TrafficSource(const TrafficSource&) = delete;
   TrafficSource& operator=(const TrafficSource&) = delete;
 
-  /// Starts generating; no sends are initiated at or after `until`.
+  /// Starts generating, replacing any earlier start; no sends are initiated
+  /// at or after `until`.
   void start(sim::TimePoint until);
   void stop();
 
   /// Observes every successfully sent packet's payload (after the driver
-  /// accepted it). The chaos harness uses this to record ground-truth
+  /// accepted it), as a view valid only during the call: the source reuses
+  /// one payload buffer. The chaos harness uses this to record ground-truth
   /// offered content for delivery-subset invariants.
-  using PacketObserver = std::function<void(const util::Bytes&)>;
+  using PacketObserver = std::function<void(util::BytesView)>;
   void set_packet_observer(PacketObserver observer) {
     observer_ = std::move(observer);
   }
@@ -125,6 +129,8 @@ class TrafficSource {
 
  private:
   void schedule_pending(sim::Duration gap);
+  /// The pending poll: sends the planned packet if the radio has room.
+  void poll();
   void fire();
 
   sim::Simulator& sim_;
@@ -139,7 +145,8 @@ class TrafficSource {
   std::uint64_t packets_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t payload_seq_ = 0;
-  std::shared_ptr<bool> alive_;
+  util::Bytes payload_;  // refilled for every packet
+  sim::EventHandle poll_;  // the single pending poll
 };
 
 }  // namespace retri::apps

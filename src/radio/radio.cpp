@@ -1,5 +1,6 @@
 #include "radio/radio.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -36,19 +37,52 @@ sim::Duration Radio::airtime(std::size_t payload_bytes) const noexcept {
   return sim::Duration::from_seconds(bits / config_.bitrate_bps);
 }
 
-bool Radio::send(util::Bytes frame) {
+bool Radio::send(util::BytesView frame) {
   if (frame.size() > config_.max_frame_bytes) {
     ++counters_.frames_rejected;
     return false;
   }
-  queue_.push_back(std::move(frame));
+  if (queued_ == ring_.size()) grow_ring();
+  ring_[(head_ + queued_) % ring_.size()].assign(frame.begin(), frame.end());
+  ++queued_;
   if (!busy_) start_next();
   return true;
 }
 
+bool Radio::send(util::Bytes frame) { return send(util::BytesView(frame)); }
+
+void Radio::grow_ring() {
+  // Eight slots hold all seven frames of the paper's instrumented 80-byte
+  // packet on the RPC radio, so the usual first growth is the last.
+  std::vector<util::Bytes> grown(std::max<std::size_t>(8, 2 * ring_.size()));
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    grown[i] = std::move(ring_[(head_ + i) % ring_.size()]);
+  }
+  ring_ = std::move(grown);
+  head_ = 0;
+}
+
+void Radio::transmit_front() {
+  assert(queued_ > 0);
+  const util::Bytes& frame = ring_[head_];
+  const std::uint64_t bits = frame.size() * 8;
+  const sim::Duration air = airtime(frame.size());
+  ++counters_.frames_sent;
+  counters_.payload_bits_sent += bits;
+  energy_.on_tx(bits);
+  medium_.transmit(node_, util::BytesView(frame), air);
+  --queued_;
+  head_ = queued_ == 0 ? 0 : (head_ + 1) % ring_.size();
+
+  medium_.simulator().schedule_after(air + config_.interframe_gap, [this]() {
+    busy_ = false;
+    start_next();
+  });
+}
+
 void Radio::start_next() {
   assert(!busy_);
-  if (queue_.empty()) return;
+  if (queued_ == 0) return;
   busy_ = true;
 
   sim::Duration backoff{};
@@ -57,23 +91,7 @@ void Radio::start_next() {
         rng_.below(static_cast<std::uint64_t>(config_.max_backoff.ns()))));
   }
 
-  medium_.simulator().schedule_after(backoff, [this]() {
-    assert(!queue_.empty());
-    util::Bytes frame = std::move(queue_.front());
-    queue_.pop_front();
-
-    const std::uint64_t bits = frame.size() * 8;
-    const sim::Duration air = airtime(frame.size());
-    ++counters_.frames_sent;
-    counters_.payload_bits_sent += bits;
-    energy_.on_tx(bits);
-    medium_.transmit(node_, std::move(frame), air);
-
-    medium_.simulator().schedule_after(air + config_.interframe_gap, [this]() {
-      busy_ = false;
-      start_next();
-    });
-  });
+  medium_.simulator().schedule_after(backoff, [this]() { transmit_front(); });
 }
 
 void Radio::on_medium_rx(sim::NodeId from, const util::Bytes& payload) {

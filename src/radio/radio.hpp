@@ -12,8 +12,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <vector>
 
 #include "radio/energy.hpp"
 #include "sim/medium.hpp"
@@ -73,9 +73,13 @@ class Radio {
   void set_listening(bool listening) noexcept { listening_ = listening; }
   bool listening() const noexcept { return listening_; }
 
-  /// Queues a frame for transmission. Returns false (and counts a
-  /// rejection) if the frame exceeds max_frame_bytes; the frame is dropped,
-  /// matching the RPC controller's behaviour of refusing oversized frames.
+  /// Queues a copy of `frame` for transmission. Returns false (and counts
+  /// a rejection) if the frame exceeds max_frame_bytes; the frame is
+  /// dropped, matching the RPC controller's behaviour of refusing oversized
+  /// frames. Queue slots keep their buffers, so once warm a steady stream
+  /// of frames queues without allocating.
+  bool send(util::BytesView frame);
+  /// The same, for a caller holding the frame in a vector.
   bool send(util::Bytes frame);
 
   /// Time a frame of `payload_bytes` occupies the channel, including the
@@ -84,14 +88,18 @@ class Radio {
 
   sim::NodeId node() const noexcept { return node_; }
   sim::Simulator& simulator() noexcept { return medium_.simulator(); }
-  std::size_t queue_depth() const noexcept { return queue_.size(); }
-  bool idle() const noexcept { return !busy_ && queue_.empty(); }
+  std::size_t queue_depth() const noexcept { return queued_; }
+  bool idle() const noexcept { return !busy_ && queued_ == 0; }
   const RadioCounters& counters() const noexcept { return counters_; }
   const EnergyMeter& energy() const noexcept { return energy_; }
   const RadioConfig& config() const noexcept { return config_; }
 
  private:
   void start_next();
+  /// Transmits the oldest queued frame and frees its slot.
+  void transmit_front();
+  /// Doubles the full ring, unrolling it so the oldest frame sits at 0.
+  void grow_ring();
   void on_medium_rx(sim::NodeId from, const util::Bytes& payload);
 
   sim::BroadcastMedium& medium_;
@@ -100,7 +108,13 @@ class Radio {
   EnergyMeter energy_;
   util::Xoshiro256 rng_;
   RxCallback rx_callback_;
-  std::deque<util::Bytes> queue_;
+  // The FIFO of frames awaiting the air: queued_ frames from ring_[head_],
+  // wrapping around. Slots keep their capacity when freed, and head_
+  // returns to 0 whenever the queue empties, so a sender that queues the
+  // same frame sizes each time refills the same buffers.
+  std::vector<util::Bytes> ring_;
+  std::size_t head_ = 0;
+  std::size_t queued_ = 0;
   bool busy_ = false;
   bool listening_ = true;
   RadioCounters counters_;

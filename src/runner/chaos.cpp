@@ -210,7 +210,7 @@ ChaosTrialResult run_chaos_trial(const ChaosTrialConfig& config) {
     if (!offered.contains(h)) ++truth_foreign;
   });
   for (const Star::Node& s : star.senders) {
-    s.source->set_packet_observer([&offered](const util::Bytes& packet) {
+    s.source->set_packet_observer([&offered](util::BytesView packet) {
       offered.insert(content_hash(packet));
     });
   }

@@ -53,13 +53,9 @@ void LadderQueue::push(const QueueEntry& e) {
 
 void LadderQueue::take_spare(Bucket& b) {
   if (spare_.empty()) return;
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < spare_.size(); ++i) {
-    if (spare_[i].capacity() > spare_[best].capacity()) best = i;
-  }
-  b.items = std::move(spare_[best]);
-  spare_[best] = std::move(spare_.back());
+  b.items = std::move(spare_.back());
   spare_.pop_back();
+  if (b.items.capacity() < spare_cap_hwm_) b.items.reserve(spare_cap_hwm_);
 }
 
 void LadderQueue::recycle_bucket(Bucket& b) {
@@ -131,15 +127,22 @@ const QueueEntry* LadderQueue::peek() {
 
 QueueEntry LadderQueue::pop() {
   assert(size_ > 0 && "pop on an empty LadderQueue");
+  if (front_.empty()) {
+    const bool positioned = position_front();
+    assert(positioned);
+    (void)positioned;
+  }
+  return pop_peeked();
+}
+
+QueueEntry LadderQueue::pop_peeked() {
+  assert(size_ > 0 && "pop on an empty LadderQueue");
   if (!front_.empty()) {
     const QueueEntry e = front_.back();
     front_.pop_back();
     --size_;
     return e;
   }
-  const bool positioned = position_front();
-  assert(positioned);
-  (void)positioned;
   Bucket& b = bucket_at(cur_abs_);
   const QueueEntry e = b.items[b.head++];
   --size_;
@@ -205,18 +208,26 @@ void LadderQueue::evacuate_and_push(const QueueEntry& e) {
 }  // namespace detail
 
 void EventHandle::cancel() noexcept {
-  const auto slab = slab_.lock();
-  if (!slab || !slab->live(slot_, gen_)) return;
-  slab->release(slot_);
+  if (slab_ == nullptr || !slab_->live(slot_, gen_)) return;
+  slab_->release(slot_);
 }
 
 bool EventHandle::pending() const noexcept {
-  const auto slab = slab_.lock();
-  return slab && slab->live(slot_, gen_);
+  return slab_ != nullptr && slab_->live(slot_, gen_);
 }
 
-Simulator::Simulator()
-    : slab_(std::make_shared<detail::EventSlab>()) {}  // retri-lint: allow(no-shared-ptr-hot)
+Simulator::Simulator() : slab_(new detail::EventSlab) {}
+
+Simulator::~Simulator() {
+  // Take the slots out before destroying them: a dying callable may own a
+  // handle into this slab, and its cancel() must find no live slot rather
+  // than a half-destroyed one.
+  std::vector<detail::EventSlot> pending;
+  pending.swap(slab_->slots);
+  slab_->free_head = detail::kNoSlot;
+  pending.clear();
+  detail::unref(slab_);
+}
 
 EventHandle Simulator::schedule_at(TimePoint t, EventFn fn) {
   assert(t >= now_ && "cannot schedule into the past");
@@ -224,7 +235,7 @@ EventHandle Simulator::schedule_at(TimePoint t, EventFn fn) {
   detail::EventSlot& s = slab_->slots[slot];
   s.fn = std::move(fn);
   queue_.push(detail::QueueEntry{t, next_seq_++, slot, s.gen});
-  return EventHandle{std::weak_ptr<detail::EventSlab>(slab_), slot, s.gen};
+  return EventHandle{slab_, slot, s.gen};
 }
 
 EventHandle Simulator::schedule_after(Duration delay, EventFn fn) {
@@ -235,7 +246,7 @@ EventHandle Simulator::schedule_after(Duration delay, EventFn fn) {
 const detail::QueueEntry* Simulator::skip_stale() {
   const detail::QueueEntry* top = queue_.peek();
   while (top != nullptr && !slab_->live(top->slot, top->gen)) {
-    queue_.pop();
+    queue_.pop_peeked();
     top = queue_.peek();
   }
   return top;
@@ -243,7 +254,12 @@ const detail::QueueEntry* Simulator::skip_stale() {
 
 bool Simulator::step() {
   if (skip_stale() == nullptr) return false;
-  const detail::QueueEntry top = queue_.pop();
+  fire_front();
+  return true;
+}
+
+void Simulator::fire_front() {
+  const detail::QueueEntry top = queue_.pop_peeked();
   now_ = top.t;
   ++fired_;
   // Move the callable out and recycle the slot before firing: the callback
@@ -252,7 +268,6 @@ bool Simulator::step() {
   EventFn fn = std::move(slab_->slots[top.slot].fn);
   slab_->release(top.slot);
   fn();
-  return true;
 }
 
 std::uint64_t Simulator::run(std::uint64_t max_events) {
@@ -266,7 +281,7 @@ std::uint64_t Simulator::run_until(TimePoint deadline) {
   for (;;) {
     const detail::QueueEntry* top = skip_stale();
     if (top == nullptr || top->t > deadline) break;
-    step();
+    fire_front();
     ++n;
   }
   if (now_ < deadline) now_ = deadline;

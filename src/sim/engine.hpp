@@ -25,7 +25,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -41,8 +40,8 @@ namespace retri::sim {
 /// fit kInlineBytes (and are nothrow-movable, so slab growth can relocate
 /// them) are stored inline in the event slot; anything larger falls back to
 /// one heap allocation. The budget is sized for the biggest closure the
-/// simulation core schedules — BroadcastMedium's delivery closure (~56
-/// bytes: medium pointer, node ids, reception slot, SharedBytes, two
+/// simulation core schedules — BroadcastMedium's delivery closure (~40
+/// bytes: medium pointer, batch index, sender id, SharedBytes, two
 /// timestamps) — with headroom; tests assert representative captures stay
 /// inline (test_engine.cpp, test_alloc_hook.cpp).
 class EventFn {
@@ -162,12 +161,16 @@ struct EventSlot {
   std::uint32_t next_free = kNoSlot;
 };
 
-/// The slab: slot storage plus an intrusive free list. Shared (once per
-/// Simulator, not per event) so EventHandles outliving the simulator stay
-/// inert instead of dangling.
+/// The slab: slot storage plus an intrusive free list. Reference-counted
+/// (once per Simulator, not per event) so EventHandles outliving the
+/// simulator stay inert instead of dangling: the dying Simulator empties
+/// `slots`, and the last reference deletes the slab.
 struct EventSlab {
   std::vector<EventSlot> slots;
   std::uint32_t free_head = kNoSlot;
+  // The Simulator's reference plus one per EventHandle. Not atomic: a
+  // Simulator and its handles belong to one thread.
+  std::size_t refs = 1;
 
   std::uint32_t acquire() {
     if (free_head != kNoSlot) {
@@ -193,6 +196,10 @@ struct EventSlab {
     return slot < slots.size() && slots[slot].gen == gen;
   }
 };
+
+inline void unref(EventSlab* slab) noexcept {
+  if (--slab->refs == 0) delete slab;
+}
 
 /// Queue entries are 28-byte PODs; the callable stays in the slab so queue
 /// reordering never touches it.
@@ -254,6 +261,10 @@ class LadderQueue {
   /// Removes and returns the minimum entry. Precondition: !empty().
   QueueEntry pop();
 
+  /// pop() without re-positioning the front. Precondition: the last call
+  /// was a peek() that returned an entry, with no push or pop since.
+  QueueEntry pop_peeked();
+
  private:
   static constexpr std::uint64_t kNumBuckets = 256;  // power of two
   static constexpr std::uint64_t kIndexMask = kNumBuckets - 1;
@@ -300,9 +311,9 @@ class LadderQueue {
   /// wheel lap instead of 256).
   void recycle_bucket(Bucket& b);
 
-  /// Gives a cold (capacity-0) bucket the largest spare vector. Largest
-  /// first keeps one undersized spare (a partial edge bucket's vector) from
-  /// forcing a regrowth in a full bucket on the next lap.
+  /// Gives a cold (capacity-0) bucket the most recently recycled spare, in
+  /// O(1), topped up to spare_cap_hwm_ so a spare recycled before the mark
+  /// last grew cannot force a regrowth in a full bucket on the next lap.
   void take_spare(Bucket& b);
 
   /// Re-anchors the empty wheel at the overflow minimum, re-tunes shift_
@@ -319,8 +330,9 @@ class LadderQueue {
   std::vector<QueueEntry> front_;  // entry_less-DESCENDING; min at back()
   std::vector<std::vector<QueueEntry>> spare_;  // recycled bucket storage
   // Largest bucket capacity ever recycled. Undersized vectors (partial edge
-  // buckets of a lap) are topped up to this on recycle, so the pool turns
-  // uniform during warmup instead of regrowing a runt every lap. Total
+  // buckets of a lap) are topped up to this when recycled, and again when
+  // taken if the mark has grown since, so the pool turns uniform during
+  // warmup instead of regrowing a runt every lap. Total
   // memory stays within the classic calendar-queue bound (every slot at
   // max observed fill); vectors never shrink anyway.
   std::size_t spare_cap_hwm_ = 0;
@@ -342,9 +354,29 @@ class LadderQueue {
 /// handle is a (slab, slot, generation) triple: once the event fires or is
 /// cancelled the slot's generation moves on, and the handle — including one
 /// kept across slab reuse of the same slot — can never affect a later event.
+/// The handle holds a reference on the slab, so one that outlives its
+/// Simulator (a copy or a move of it too) stays inert instead of dangling.
+/// Like the Simulator, a handle belongs to one thread.
 class EventHandle {
  public:
-  EventHandle() = default;
+  EventHandle() noexcept = default;
+  EventHandle(const EventHandle& other) noexcept
+      : slab_(other.slab_), slot_(other.slot_), gen_(other.gen_) {
+    if (slab_ != nullptr) ++slab_->refs;
+  }
+  EventHandle(EventHandle&& other) noexcept
+      : slab_(std::exchange(other.slab_, nullptr)),
+        slot_(other.slot_),
+        gen_(other.gen_) {}
+  EventHandle& operator=(EventHandle other) noexcept {
+    std::swap(slab_, other.slab_);
+    slot_ = other.slot_;
+    gen_ = other.gen_;
+    return *this;
+  }
+  ~EventHandle() {
+    if (slab_ != nullptr) detail::unref(slab_);
+  }
 
   /// Prevents the event from firing (if it has not fired yet).
   void cancel() noexcept;
@@ -354,11 +386,13 @@ class EventHandle {
 
  private:
   friend class Simulator;
-  EventHandle(std::weak_ptr<detail::EventSlab> slab, std::uint32_t slot,
-              std::uint64_t gen)
-      : slab_(std::move(slab)), slot_(slot), gen_(gen) {}
+  EventHandle(detail::EventSlab* slab, std::uint32_t slot,
+              std::uint64_t gen) noexcept
+      : slab_(slab), slot_(slot), gen_(gen) {
+    ++slab_->refs;
+  }
 
-  std::weak_ptr<detail::EventSlab> slab_;
+  detail::EventSlab* slab_ = nullptr;
   std::uint32_t slot_ = detail::kNoSlot;
   std::uint64_t gen_ = 0;
 };
@@ -366,6 +400,8 @@ class EventHandle {
 class Simulator {
  public:
   Simulator();
+  /// Destroys every pending callable; handles to them go inert.
+  ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -395,15 +431,19 @@ class Simulator {
 
  private:
   /// Pops entries whose slot generation moved on (cancelled events) off the
-  /// queue head, then returns the live minimum (nullptr when drained).
+  /// queue head, then returns the live minimum (nullptr when drained),
+  /// leaving the queue front positioned on it.
   const detail::QueueEntry* skip_stale();
+
+  /// Fires the live minimum skip_stale() just returned.
+  void fire_front();
 
   TimePoint now_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_ = 0;
-  // One allocation per Simulator (not per event); shared so handles that
-  // outlive the simulator expire instead of dangling.
-  std::shared_ptr<detail::EventSlab> slab_;  // retri-lint: allow(no-shared-ptr-hot)
+  // One allocation per Simulator (not per event); reference-counted so
+  // handles that outlive the simulator expire instead of dangling.
+  detail::EventSlab* slab_;
   detail::LadderQueue queue_;
 };
 

@@ -159,11 +159,16 @@ void BroadcastMedium::frame_instant(const char* name, NodeId track,
 
 void BroadcastMedium::transmit(NodeId from, util::Bytes payload,
                                Duration airtime) {
+  transmit(from, util::BytesView(payload), airtime);
+}
+
+void BroadcastMedium::transmit(NodeId from, util::BytesView frame,
+                               Duration airtime) {
   assert(from < topology_.size());
   if (!enabled(from)) return;
   counters_.frames_sent.inc();
-  counters_.frame_bytes.record(static_cast<double>(payload.size()));
-  frame_instant("frame.transmit", from, payload.size());
+  counters_.frame_bytes.record(static_cast<double>(frame.size()));
+  frame_instant("frame.transmit", from, frame.size());
 
   const TimePoint start = sim_.now();
   const TimePoint end = start + airtime;
@@ -172,9 +177,10 @@ void BroadcastMedium::transmit(NodeId from, util::Bytes payload,
   }
   tx_busy_until_[from] = std::max(tx_busy_until_[from], end);
 
-  // One buffer for the whole broadcast: the delivery batch holds a single
-  // refcount on it instead of one vector copy (or closure) per listener.
-  const util::SharedBytes shared_payload{std::move(payload)};
+  // One pooled buffer for the whole broadcast: the delivery batch holds a
+  // single reference on it instead of one vector copy (or closure) per
+  // listener.
+  util::SharedBytes payload = payload_pool_.copy_of(frame);
 
   // Snapshot the audience into a pooled batch and schedule ONE delivery
   // event spanning it, instead of one closure per listener. Counters, rx
@@ -216,9 +222,8 @@ void BroadcastMedium::transmit(NodeId from, util::Bytes payload,
   }
 
   sim_.schedule_at(end + config_.propagation_delay,
-                   [this, batch, from, shared_payload, start, end]() {
-                     on_batch(batch, from, shared_payload, start, end);
-                   });
+                   [this, batch, from, payload = std::move(payload), start,
+                    end]() { on_batch(batch, from, payload, start, end); });
 }
 
 void BroadcastMedium::on_batch(std::uint32_t batch, NodeId from,

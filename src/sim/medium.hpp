@@ -82,6 +82,8 @@ struct MediumStatsSnapshot {
 /// shares the buffer with every other listener at refcount cost only; an
 /// interceptor that mutates must go through SharedBytes::mutable_bytes(),
 /// whose copy-on-write clone keeps the corruption local to this delivery.
+/// The medium's buffers are pooled: a copy an interceptor keeps holds its
+/// buffer out of the pool, and outlives the medium safely.
 class DeliveryInterceptor {
  public:
   struct Injected {
@@ -116,9 +118,13 @@ class BroadcastMedium {
   /// re-attaching replaces the previous handler.
   void attach(NodeId node, RxHandler handler);
 
-  /// Broadcasts `payload`, occupying the channel for `airtime`. Deliveries
-  /// to each audible listener are scheduled at now + airtime + propagation.
-  /// Disabled senders transmit nothing.
+  /// Broadcasts a copy of `frame`, occupying the channel for `airtime`.
+  /// Deliveries to each audible listener are scheduled at now + airtime +
+  /// propagation. Disabled senders transmit nothing. The copy lives in a
+  /// buffer recycled from the medium's pool, so a steady stream of
+  /// transmits allocates nothing once warm.
+  void transmit(NodeId from, util::BytesView frame, Duration airtime);
+  /// The same broadcast for a caller holding the frame in a vector.
   void transmit(NodeId from, util::Bytes payload, Duration airtime);
 
   /// Powers a node on/off. Off nodes neither transmit nor receive; frames
@@ -260,6 +266,8 @@ class BroadcastMedium {
   // a reception, which no modelled MAC produces.
   std::vector<TimePoint> tx_first_start_;
   std::vector<TimePoint> tx_busy_until_;
+  // Transmitted frames' buffers; a delivery batch holds one until it runs.
+  util::BytesPool payload_pool_;
 };
 
 }  // namespace retri::sim

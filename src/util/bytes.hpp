@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -21,54 +20,105 @@ namespace retri::util {
 using Bytes = std::vector<std::uint8_t>;
 using BytesView = std::span<const std::uint8_t>;
 
+class BytesPool;
+
 /// Immutable, ref-counted byte buffer with copy-on-write mutation.
 ///
 /// The broadcast medium hands one SharedBytes to every listener's delivery
 /// instead of copying the payload N times; copying a SharedBytes bumps a
-/// refcount (16 bytes, no byte copy). Readers use bytes()/view(). A writer
-/// (e.g. the fault injector corrupting one listener's copy) calls
+/// refcount (one pointer, no byte copy). Readers use bytes()/view(). A
+/// writer (e.g. the fault injector corrupting one listener's copy) calls
 /// mutable_bytes(), which clones the buffer only when it is actually shared
 /// — so the corruption never leaks into other listeners' deliveries, and an
 /// unshared buffer mutates in place with no copy at all. Default-constructed
 /// SharedBytes is an empty buffer (no allocation until first mutation).
+///
+/// The count is intrusive and not atomic: a buffer and every SharedBytes
+/// referencing it belong to one thread, as everything one Simulator runs
+/// does. A buffer drawn from a BytesPool goes back to the pool when its last
+/// holder lets go; one still held when its pool dies is freed by that
+/// holder instead.
 class SharedBytes {
  public:
   SharedBytes() noexcept = default;
-  explicit SharedBytes(Bytes bytes)
-      : data_(std::make_shared<Bytes>(std::move(bytes))) {}
-
-  /// Allocates a new buffer holding a copy of `data`.
-  static SharedBytes copy_of(BytesView data) {
-    return SharedBytes(Bytes(data.begin(), data.end()));
+  explicit SharedBytes(Bytes bytes) : block_(new Block{std::move(bytes)}) {}
+  SharedBytes(const SharedBytes& other) noexcept : block_(other.block_) {
+    if (block_ != nullptr) ++block_->refs;
   }
+  SharedBytes(SharedBytes&& other) noexcept
+      : block_(std::exchange(other.block_, nullptr)) {}
+  SharedBytes& operator=(SharedBytes other) noexcept {
+    std::swap(block_, other.block_);
+    return *this;
+  }
+  ~SharedBytes() { release(); }
 
   /// Read access; valid as long as any SharedBytes referencing the buffer
   /// (or the returned reference's user) needs it.
   const Bytes& bytes() const noexcept {
     static const Bytes kEmpty;
-    return data_ ? *data_ : kEmpty;
+    return block_ != nullptr ? block_->bytes : kEmpty;
   }
   BytesView view() const noexcept { return bytes(); }
-  std::size_t size() const noexcept { return data_ ? data_->size() : 0; }
+  std::size_t size() const noexcept { return bytes().size(); }
   bool empty() const noexcept { return size() == 0; }
 
   /// Write access. Clones the buffer first if other SharedBytes share it
   /// (copy-on-write); mutates in place when uniquely owned.
-  Bytes& mutable_bytes() {
-    if (!data_) {
-      data_ = std::make_shared<Bytes>();
-    } else if (data_.use_count() > 1) {
-      data_ = std::make_shared<Bytes>(*data_);
-    }
-    return *data_;
-  }
+  Bytes& mutable_bytes();
 
   /// Number of SharedBytes sharing the buffer (0 when empty-default).
-  /// Meaningful in single-threaded code only; exposed for tests.
-  long use_count() const noexcept { return data_.use_count(); }
+  /// Exposed for tests.
+  long use_count() const noexcept {
+    return block_ != nullptr ? static_cast<long>(block_->refs) : 0;
+  }
 
  private:
-  std::shared_ptr<Bytes> data_;
+  friend class BytesPool;
+
+  struct Block {
+    Bytes bytes;
+    std::size_t refs = 1;
+    BytesPool* pool = nullptr;  // takes the block back at 0 refs; null: free
+    Block* next_idle = nullptr;
+  };
+
+  void release() noexcept {
+    if (block_ != nullptr && --block_->refs == 0) drop(block_);
+    block_ = nullptr;
+  }
+  /// Returns an unreferenced block to its pool, or frees it.
+  static void drop(Block* block) noexcept;
+
+  Block* block_ = nullptr;
+};
+
+/// Recycles SharedBytes buffers for one owner's stream of short-lived
+/// copies. copy_of() refills an idle buffer, keeping its capacity, so a
+/// steady stream of similar-sized copies allocates nothing once warm.
+/// Single-threaded, like SharedBytes. The pool may die before buffers it
+/// handed out; each of those is then freed by its last holder.
+class BytesPool {
+ public:
+  BytesPool() = default;
+  BytesPool(const BytesPool&) = delete;
+  BytesPool& operator=(const BytesPool&) = delete;
+  ~BytesPool();
+
+  /// A buffer holding a copy of `data`, recycled when one is idle.
+  SharedBytes copy_of(BytesView data);
+
+ private:
+  friend class SharedBytes;
+  using Block = SharedBytes::Block;
+
+  void recycle(Block* block) noexcept {
+    block->next_idle = idle_;
+    idle_ = block;
+  }
+
+  std::vector<Block*> blocks_;  // every block this pool made, idle or held
+  Block* idle_ = nullptr;
 };
 
 /// Appends big-endian fields to a byte vector.
@@ -79,6 +129,14 @@ class BufferWriter {
   BufferWriter() = default;
   /// Reserves `expected_size` up front to avoid reallocation in hot paths.
   explicit BufferWriter(std::size_t expected_size) { buf_.reserve(expected_size); }
+  /// Writes into `buffer`, dropping its contents but keeping its capacity
+  /// (and reserving `expected_size`), so a buffer handed back in from
+  /// take() every time encodes without allocating once it is large enough.
+  BufferWriter(Bytes&& buffer, std::size_t expected_size)
+      : buf_(std::move(buffer)) {
+    buf_.clear();
+    buf_.reserve(expected_size);
+  }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v);
@@ -153,5 +211,9 @@ std::string to_hex(BytesView data);
 /// workload generators so packet contents are reproducible and checksums
 /// exercise real data.
 Bytes random_payload(std::size_t n, std::uint64_t seed);
+
+/// random_payload(n, seed)'s bytes, written into `out` (resized to n) so a
+/// reused buffer keeps its capacity.
+void fill_random_payload(Bytes& out, std::size_t n, std::uint64_t seed);
 
 }  // namespace retri::util

@@ -2,19 +2,22 @@
 //
 // This binary — and only this binary among the test targets — links
 // src/util/alloc_hook.cpp (the counting operator-new replacement), so it
-// can assert the refactor's core claim directly: once warmed up, the event
+// can assert the refactors' core claim directly: once warmed up, the event
 // engine schedules and fires without allocating at all, a broadcast fans
-// one shared payload out to every listener instead of copying it per
-// reception, and the AFF receive path reassembles and delivers frames
-// without allocating. The pre-refactor baseline was 1 alloc/event on the
-// engine, 22 allocs/transmit on a 5-listener fanout, and 1.13 allocs per
-// reassembled fragment. Allocation counts are deterministic, so every
-// budget here is the measured count, not a tolerance around it; time is
-// perfbench's job (perfbench/README.md).
+// one pooled payload out to every listener instead of copying it per
+// reception, the AFF receive path reassembles and delivers frames without
+// allocating, and so does the send path from a traffic source's payload
+// through the driver's encoder and the radio queue to the medium. The
+// pre-refactor baseline was 1 alloc/event on the engine, 22
+// allocs/transmit on a 5-listener fanout, 1.13 allocs per reassembled
+// fragment, and 16 allocs per sent 80-byte packet. Allocation counts are
+// deterministic, so every budget here is the measured count, not a
+// tolerance around it; time is perfbench's job (perfbench/README.md).
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <variant>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "aff/fragmenter.hpp"
 #include "aff/reassembler.hpp"
 #include "aff/wire.hpp"
+#include "apps/workload.hpp"
 #include "core/selector.hpp"
 #include "obs/metrics.hpp"
 #include "radio/radio.hpp"
@@ -138,11 +142,14 @@ TEST(AllocHotPath, EngineChurnAfterWarmupStaysWithinBudget) {
       << "engine churn allocated more than its measured budget";
 }
 
-// One transmit: 1 alloc for the caller's payload copy into transmit() plus
-// 1 for the shared buffer's control block, whatever the audience size and
+// One transmit of a frame view copies it into a buffer recycled from the
+// medium's pool: 0 allocations once warm, whatever the audience size and
 // whether RF collisions are tracked. Deliveries themselves (pooled
-// Reception records, inline delivery closures, shared payload views) must
-// not allocate. Baseline before the refactor: 22 for 5 listeners.
+// reception records, inline delivery closures, shared payload views) must
+// not allocate. The by-value overload adds the caller's vector copy; its
+// budget is the 2 per transmit it had before the pool (the payload copy
+// plus a shared_ptr control block). Baseline before the first refactor:
+// 22 for 5 listeners.
 TEST(AllocHotPath, MediumFanoutSharesOnePayloadBuffer) {
   struct Shape {
     std::size_t nodes;
@@ -159,19 +166,28 @@ TEST(AllocHotPath, MediumFanoutSharesOnePayloadBuffer) {
     sim::BroadcastMedium medium(
         sim, sim::Topology::star_full_mesh(shape.nodes), config, 1);
     const util::Bytes frame = util::random_payload(27, 1);
-    auto batch = [&sim, &medium, &frame] {
+    const sim::Duration airtime = sim::Duration::microseconds(100);
+    auto pooled = [&] {
       for (int i = 0; i < kOps; ++i) {
-        medium.transmit(0, util::Bytes(frame),
-                        sim::Duration::microseconds(100));
+        medium.transmit(0, util::BytesView(frame), airtime);
         sim.run();
       }
     };
-    batch();  // warmup: reception pool + active lists reach capacity
-    const std::uint64_t before = util::alloc_count();
-    batch();
+    auto by_value = [&] {
+      for (int i = 0; i < kOps; ++i) {
+        medium.transmit(0, util::Bytes(frame), airtime);
+        sim.run();
+      }
+    };
+    pooled();  // warmup: payload pool, reception pool and active lists
+    std::uint64_t before = util::alloc_count();
+    pooled();
+    EXPECT_EQ(util::alloc_count() - before, 0u)
+        << "pooled medium transmit fanout allocated";
+    before = util::alloc_count();
+    by_value();
     EXPECT_LE(util::alloc_count() - before, 2u * kOps)
-        << "medium transmit fanout allocated more than the payload copy + "
-           "shared control block";
+        << "by-value medium transmit allocated more than its budget";
   }
 }
 
@@ -301,13 +317,15 @@ MixedRun run_mixed_star64() {
   return run;
 }
 
-// Budget: the measured 147,054 allocations over 145,989 fired events.
+// Budget: the measured 96,359 allocations over 145,989 fired events (each
+// by-value transmit's vector copy and each intercept's result vector; the
+// medium's own payload buffers are pooled). Before the pool: 147,054.
 TEST(AllocHotPath, MixedStar64WorkloadStaysWithinBudget) {
   const MixedRun first = run_mixed_star64();
   ASSERT_GT(first.events, 0u);
   EXPECT_LE(static_cast<double>(first.allocs) /
                 static_cast<double>(first.events),
-            1.0072950701765202)
+            0.6600428799430094)
       << first.allocs << " allocations over " << first.events << " events";
   EXPECT_EQ(run_mixed_star64().events, first.events)
       << "the mixed workload fired a different number of events when rerun";
@@ -405,6 +423,86 @@ TEST(AllocHotPath, AffDriverReceiveIsAllocationFree) {
   EXPECT_EQ(round(), 0u) << "AFF receive allocated in steady state";
   EXPECT_EQ(aff_packets, kRxPackets);
   EXPECT_EQ(truth_packets, kRxPackets);
+}
+
+// The AFF send path end to end: an instrumented driver encodes each
+// packet's frames into its one reused buffer, the radio queues them in
+// capacity-keeping ring slots, the medium copies each into a pooled buffer,
+// and a peer receiver with truth on reassembles and delivers them. A round
+// of sends drained by sim.run() allocates nothing after one warm-up round.
+TEST(AllocHotPath, AffDriverSendIsAllocationFree) {
+  sim::Simulator sim;
+  sim::BroadcastMedium medium(sim, sim::Topology::full_mesh(2), {}, 1);
+  radio::Radio tx_radio(medium, 0, radio::RadioConfig{}, radio::EnergyModel{},
+                        2);
+  radio::Radio rx_radio(medium, 1, radio::RadioConfig{}, radio::EnergyModel{},
+                        3);
+  core::UniformSelector tx_selector(core::IdSpace(8), 4);
+  core::UniformSelector rx_selector(core::IdSpace(8), 5);
+  aff::AffDriverConfig config;
+  config.wire = aff::WireConfig{8, true};
+  ASSERT_TRUE(config.truth_reassembly);
+  aff::AffDriver sender(tx_radio, tx_selector, config, 1);
+  aff::AffDriver receiver(rx_radio, rx_selector, config, 0);
+  std::size_t aff_packets = 0;
+  std::size_t truth_packets = 0;
+  receiver.set_packet_handler([&](util::BytesView) { ++aff_packets; });
+  receiver.set_truth_packet_handler([&](util::BytesView) { ++truth_packets; });
+
+  std::vector<util::Bytes> packets;
+  for (std::size_t p = 0; p < kRxPackets; ++p) {
+    packets.push_back(util::random_payload(kRxPacketBytes, 60 + p));
+  }
+  const auto round = [&] {
+    const std::uint64_t before = util::alloc_count();
+    for (const util::Bytes& packet : packets) {
+      EXPECT_TRUE(sender.send_packet(packet).ok());
+    }
+    sim.run();
+    return util::alloc_count() - before;
+  };
+  round();  // warmup
+  aff_packets = truth_packets = 0;
+  EXPECT_EQ(round(), 0u) << "AFF send allocated in steady state";
+  EXPECT_EQ(aff_packets, kRxPackets);
+  EXPECT_EQ(truth_packets, kRxPackets);
+}
+
+// A saturating TrafficSource feeding the same stack: each poll is one
+// EventHandle, each packet refills one payload buffer. After a 2 s warm-up
+// round, the next 2 s of simulated traffic, drained by sim.run(), allocate
+// nothing.
+TEST(AllocHotPath, SaturatingTrafficSourceIsAllocationFree) {
+  sim::Simulator sim;
+  sim::BroadcastMedium medium(sim, sim::Topology::full_mesh(2), {}, 1);
+  radio::Radio tx_radio(medium, 1, radio::RadioConfig{}, radio::EnergyModel{},
+                        2);
+  radio::Radio rx_radio(medium, 0, radio::RadioConfig{}, radio::EnergyModel{},
+                        3);
+  core::UniformSelector tx_selector(core::IdSpace(8), 4);
+  core::UniformSelector rx_selector(core::IdSpace(8), 5);
+  aff::AffDriverConfig config;
+  config.wire = aff::WireConfig{8, true};
+  aff::AffDriver sender(tx_radio, tx_selector, config, 1);
+  aff::AffDriver receiver(rx_radio, rx_selector, config, 0);
+  std::size_t truth_packets = 0;
+  receiver.set_truth_packet_handler([&](util::BytesView) { ++truth_packets; });
+  apps::TrafficSource source(
+      sim, sender, std::make_unique<apps::SaturatingWorkload>(kRxPacketBytes),
+      6);
+
+  const auto round = [&] {
+    const std::uint64_t before = util::alloc_count();
+    source.start(sim.now() + sim::Duration::seconds(2));
+    sim.run();
+    return util::alloc_count() - before;
+  };
+  round();  // warmup
+  const std::uint64_t sent_before = source.packets_sent();
+  truth_packets = 0;
+  EXPECT_EQ(round(), 0u) << "saturating source allocated in steady state";
+  EXPECT_GT(source.packets_sent(), sent_before);
+  EXPECT_EQ(truth_packets, source.packets_sent() - sent_before);
 }
 
 TEST(AllocHotPath, SharedBytesClonesOnlyWhenSharedAndMutated) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "util/random.hpp"
 
 namespace retri::util {
@@ -124,6 +126,41 @@ TEST(RandomPayload, DeterministicAndSeedSensitive) {
   EXPECT_NE(a, c);
   EXPECT_EQ(a.size(), 64u);
   EXPECT_TRUE(random_payload(0, 1).empty());
+  // Refilling a reused buffer writes the same byte stream, whatever the
+  // buffer held before.
+  Bytes reused = random_payload(100, 9);
+  fill_random_payload(reused, 64, 1);
+  EXPECT_EQ(reused, a);
+}
+
+// A pool refills a buffer only once nobody holds it, and a buffer still
+// held when its pool dies stays readable until its last holder frees it.
+TEST(BytesPool, RecyclesOnlyUnheldBuffersAndOrphansHeldOnes) {
+  const Bytes a = random_payload(27, 1);
+  const Bytes b = random_payload(20, 2);
+  std::optional<BytesPool> pool(std::in_place);
+  const std::uint8_t* first_buffer = nullptr;
+  {
+    const SharedBytes x = pool->copy_of(a);
+    EXPECT_EQ(x.bytes(), a);
+    EXPECT_EQ(x.use_count(), 1);
+    first_buffer = x.bytes().data();
+  }
+  SharedBytes y = pool->copy_of(b);  // the idle buffer, refilled in place
+  EXPECT_EQ(y.bytes().data(), first_buffer);
+  EXPECT_EQ(y.bytes(), b);
+  SharedBytes z = pool->copy_of(a);  // y holds the first: a second buffer
+  EXPECT_NE(z.bytes().data(), y.bytes().data());
+  const SharedBytes alias = z;
+  z.mutable_bytes()[0] ^= 0xff;  // shared: z detaches onto a clone
+  EXPECT_EQ(alias.bytes(), a);
+  EXPECT_EQ(alias.use_count(), 1);
+
+  pool.reset();
+  EXPECT_EQ(y.bytes(), b);
+  EXPECT_EQ(alias.bytes(), a);
+  y.mutable_bytes()[0] ^= 0xff;  // unshared orphan: mutates in place
+  EXPECT_EQ(y.use_count(), 1);
 }
 
 }  // namespace

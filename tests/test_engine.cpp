@@ -203,13 +203,58 @@ TEST(EventHandleGenerations, CancelledSlotReuseIsAlsoGenerationChecked) {
 
 TEST(EventHandleGenerations, HandleOutlivingSimulatorIsInert) {
   EventHandle h;
+  EventHandle copied;
+  EventHandle moved_from;
+  EventHandle moved;
   {
     Simulator sim;
     h = sim.schedule_after(Duration::seconds(1), [] {});
     EXPECT_TRUE(h.pending());
+    copied = h;
+    moved_from = sim.schedule_after(Duration::seconds(2), [] {});
+    moved = std::move(moved_from);
+    EXPECT_TRUE(copied.pending());
+    EXPECT_TRUE(moved.pending());
+    EXPECT_FALSE(moved_from.pending());  // NOLINT(bugprone-use-after-move)
   }
   EXPECT_FALSE(h.pending());
+  EXPECT_FALSE(copied.pending());
+  EXPECT_FALSE(moved.pending());
   h.cancel();  // slab is gone; must not crash
+  copied.cancel();
+  moved.cancel();
+  // Copies and moves made after the simulator died are just as inert.
+  EventHandle late_copy = copied;
+  const EventHandle late_move = std::move(moved);
+  EXPECT_FALSE(late_copy.pending());
+  EXPECT_FALSE(late_move.pending());
+  late_copy.cancel();
+  copied = late_move;
+  EXPECT_FALSE(copied.pending());
+}
+
+// A dying Simulator destroys every pending callable, even while handles to
+// them live on; a callable that cancels another event as it is destroyed
+// finds it inert rather than half-destroyed.
+TEST(EventHandleGenerations, PendingCallablesDieWithTheSimulator) {
+  struct CancelsOnDestruction {
+    EventHandle target;
+    explicit CancelsOnDestruction(EventHandle h) : target(std::move(h)) {}
+    CancelsOnDestruction(CancelsOnDestruction&&) noexcept = default;
+    ~CancelsOnDestruction() { target.cancel(); }
+    void operator()() const {}
+  };
+  const auto token = std::make_shared<int>(0);
+  EventHandle held;
+  {
+    Simulator sim;
+    held = sim.schedule_after(Duration::seconds(1), [token] {});
+    const EventHandle target = sim.schedule_after(Duration::seconds(3), [] {});
+    sim.schedule_after(Duration::seconds(2), CancelsOnDestruction{target});
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_FALSE(held.pending());
 }
 
 TEST(EventHandleGenerations, CancelOwnHandleFromCallbackIsSafe) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
+#include "util/bitops.hpp"
 #include "util/checksum.hpp"
 #include "util/random.hpp"
 
@@ -143,6 +148,83 @@ TEST(Fragmenter, InstrumentedModeShrinksPayloadByEight) {
   const auto decoded = decode(WireConfig{8, true}, frames.value()[0]);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->true_packet_id, 0x1234u);
+}
+
+// The fragment loop as it stood before frames were encoded one at a time:
+// the reference both encode paths must match byte for byte.
+std::vector<util::Bytes> reference_frames(const Fragmenter& frag,
+                                          util::BytesView packet,
+                                          core::TransactionId id,
+                                          std::uint64_t true_id) {
+  const WireConfig& wire = frag.config().wire;
+  const std::optional<std::uint64_t> instrumented =
+      wire.instrumented ? std::optional<std::uint64_t>(true_id) : std::nullopt;
+  std::vector<util::Bytes> frames;
+  frames.push_back(encode_intro(
+      wire,
+      IntroFragment{id, static_cast<std::uint16_t>(packet.size()),
+                    util::crc32(packet)},
+      instrumented));
+  const std::size_t step = frag.payload_per_fragment();
+  for (std::size_t offset = 0; offset < packet.size(); offset += step) {
+    const std::size_t n = std::min(step, packet.size() - offset);
+    frames.push_back(encode_data(
+        wire,
+        DataFragment{id, static_cast<std::uint16_t>(offset),
+                     packet.subspan(offset, n)},
+        instrumented));
+  }
+  return frames;
+}
+
+// Frames encoded one at a time into a single reused buffer, as AffDriver
+// sends them, are byte-identical to fragment()'s fresh buffers and to the
+// reference loop, for packet lengths 1-300 and 65,535, id widths 1, 8, 13
+// and 64, instrumented or not, and frame limits 16, 17, 27 and 255. The
+// buffer carries over from each packet to the next, longest first, so a
+// stale tail would show. frames_for() reports the same error fragment()
+// does, for lengths 0 and 65,536 and for every geometry too small to fit.
+TEST(Fragmenter, ReusedBufferFramesMatchFreshFragments) {
+  std::vector<std::size_t> lengths{0x10000, 0xffff};
+  for (std::size_t n = 300; n >= 1; --n) lengths.push_back(n);
+  lengths.push_back(0);
+  const std::uint64_t true_id = 0x0123456789abcdefULL;
+  util::Bytes reused;
+  for (const unsigned id_bits : {1u, 8u, 13u, 64u}) {
+    for (const bool instrumented : {false, true}) {
+      for (const std::size_t limit : {16u, 17u, 27u, 255u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "id_bits " << id_bits << ", instrumented "
+                     << instrumented << ", frame limit " << limit);
+        const Fragmenter frag(
+            FragmenterConfig{WireConfig{id_bits, instrumented}, limit});
+        const core::TransactionId id(util::low_mask(id_bits));
+        for (const std::size_t n : lengths) {
+          const util::Bytes packet = util::random_payload(n, n);
+          const auto count = frag.frames_for(packet);
+          const auto fresh = frag.fragment(packet, id, true_id);
+          ASSERT_EQ(count.ok(), fresh.ok()) << n << " bytes";
+          if (!count.ok()) {
+            EXPECT_EQ(count.error(), fresh.error()) << n << " bytes";
+            EXPECT_EQ(count.error(),
+                      n == 0        ? FragmentError::kEmptyPacket
+                      : n > 0xffff  ? FragmentError::kPacketTooLarge
+                                    : FragmentError::kFrameTooSmall)
+                << n << " bytes";
+            continue;
+          }
+          ASSERT_EQ(fresh.value(), reference_frames(frag, packet, id, true_id))
+              << n << " bytes";
+          ASSERT_EQ(count.value(), fresh.value().size()) << n << " bytes";
+          for (std::size_t i = 0; i < count.value(); ++i) {
+            frag.encode_frame(packet, id, true_id, i, reused);
+            ASSERT_EQ(reused, fresh.value()[i])
+                << n << " bytes, frame " << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -203,13 +203,33 @@ TEST(LintRules, SharedPtrBannedInSimAndCoreOnly) {
   EXPECT_TRUE(has_violation(scan("src/core/selector.cpp", body),
                             "no-shared-ptr-hot"));
   // Outside the scoped hot paths the rule is silent: shared lifetime flags
-  // in drivers and util::SharedBytes itself are legitimate.
+  // in drivers and the rest of util are legitimate.
   EXPECT_FALSE(has_violation(scan("src/aff/driver.cpp", body),
                              "no-shared-ptr-hot"));
-  EXPECT_FALSE(has_violation(scan("src/util/bytes.hpp", body),
+  EXPECT_FALSE(has_violation(scan("src/util/json.cpp", body),
                              "no-shared-ptr-hot"));
   EXPECT_FALSE(has_violation(scan("tests/test_medium.cpp", body),
                              "no-shared-ptr-hot"));
+}
+
+// The send path's own files are in scope too, so util::SharedBytes, the
+// radio queue and the traffic source cannot drift back to atomic
+// refcounts; their neighbours keep their shared lifetime flags.
+TEST(LintRules, SharedPtrBannedOnTheSendPath) {
+  const std::string body = "std::shared_ptr<bool> alive_;\n";
+  for (const char* path :
+       {"src/util/bytes.hpp", "src/util/bytes.cpp", "src/radio/radio.hpp",
+        "src/radio/radio.cpp", "src/apps/workload.hpp",
+        "src/apps/workload.cpp"}) {
+    EXPECT_TRUE(has_violation(scan(path, body), "no-shared-ptr-hot"))
+        << path;
+  }
+  for (const char* path :
+       {"src/radio/duty_cycle.hpp", "src/apps/interest.hpp",
+        "src/util/bitops.hpp"}) {
+    EXPECT_FALSE(has_violation(scan(path, body), "no-shared-ptr-hot"))
+        << path;
+  }
 }
 
 TEST(LintRules, PriorityQueueBannedUnderSimOnly) {
@@ -358,7 +378,11 @@ TEST(LintScope, ScopePrefixesRestrictWhereARuleApplies) {
   ASSERT_FALSE(hot->scope_prefixes.empty());
   EXPECT_TRUE(lint::rule_applies(*hot, "src/sim/engine.cpp"));
   EXPECT_TRUE(lint::rule_applies(*hot, "src/core/identifier.hpp"));
+  EXPECT_TRUE(lint::rule_applies(*hot, "src/util/bytes.hpp"));
+  EXPECT_TRUE(lint::rule_applies(*hot, "src/radio/radio.cpp"));
+  EXPECT_TRUE(lint::rule_applies(*hot, "src/apps/workload.hpp"));
   EXPECT_FALSE(lint::rule_applies(*hot, "src/aff/driver.cpp"));
+  EXPECT_FALSE(lint::rule_applies(*hot, "src/radio/duty_cycle.cpp"));
   EXPECT_FALSE(lint::rule_applies(*hot, "bench/retri_bench.cpp"));
 
   // Rules without scope_prefixes keep their applies-everywhere default.

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "obs/span.hpp"
+#include "util/random.hpp"
 
 namespace retri::sim {
 namespace {
@@ -335,6 +336,78 @@ TEST_F(MediumTest, FrameInstantsRecordEveryOutcome) {
   EXPECT_EQ(instants["frame.deliver"] + instants["frame.lost_random"], kFrames);
   EXPECT_EQ(instants["frame.deliver"], medium.stats().delivered);
   EXPECT_EQ(instants["frame.lost_random"], medium.stats().lost_random);
+}
+
+/// Keeps the first payload it sees and forwards every payload after
+/// `delay`, with its first byte flipped when `corrupt` is set.
+class KeepingInterceptor final : public DeliveryInterceptor {
+ public:
+  util::SharedBytes kept;
+  Duration delay = Duration::nanoseconds(0);
+  bool corrupt = false;
+
+  std::vector<Injected> intercept(NodeId, NodeId,
+                                  const util::SharedBytes& payload) override {
+    if (kept.empty()) kept = payload;
+    Injected copy{payload, delay};
+    if (corrupt) copy.payload.mutable_bytes()[0] ^= 0xff;
+    return {std::move(copy)};
+  }
+};
+
+// runner::Star destroys its medium before its simulator, so a delayed
+// interceptor copy still queued then holds a pooled buffer whose pool is
+// gone. The buffer stays readable and is freed by its last holder (the
+// ASan build checks that it is freed exactly once).
+TEST_F(MediumTest, PooledPayloadHeldPastItsMediumIsFreedByItsLastHolder) {
+  const util::Bytes frame = util::random_payload(27, 3);
+  KeepingInterceptor interceptor;
+  interceptor.delay = Duration::milliseconds(5);
+  {
+    Simulator local;
+    {
+      BroadcastMedium medium(local, Topology::full_mesh(2), {}, 1);
+      medium.set_interceptor(&interceptor);
+      medium.transmit(0, util::BytesView(frame), Duration::milliseconds(1));
+      local.run_until(TimePoint::origin() + Duration::milliseconds(2));
+      ASSERT_EQ(local.queued(), 1u);  // the delayed copy
+    }
+    // The delayed copy and `kept` share the pooled buffer.
+    EXPECT_EQ(interceptor.kept.use_count(), 2);
+    EXPECT_EQ(interceptor.kept.bytes(), frame);
+  }
+  EXPECT_EQ(interceptor.kept.use_count(), 1);
+  EXPECT_EQ(interceptor.kept.bytes(), frame);
+}
+
+// An interceptor writing to a pooled payload gets a clone, so the shared
+// buffer other holders read is never written; and a copy held across
+// 1,000 later transmits keeps its bytes, because the pool only refills
+// buffers nobody holds.
+TEST_F(MediumTest, PooledPayloadClonesOnWriteAndIsNotRecycledWhileHeld) {
+  BroadcastMedium medium(sim, Topology::full_mesh(2), {}, 1);
+  KeepingInterceptor interceptor;
+  interceptor.corrupt = true;
+  medium.set_interceptor(&interceptor);
+  auto& rx1 = capture(medium, 1);
+
+  const util::Bytes first = util::random_payload(27, 1);
+  medium.transmit(0, util::BytesView(first), Duration::microseconds(100));
+  sim.run();
+  ASSERT_EQ(rx1.size(), 1u);
+  util::Bytes corrupted = first;
+  corrupted[0] ^= 0xff;
+  EXPECT_EQ(rx1[0].payload, corrupted);
+  EXPECT_EQ(interceptor.kept.bytes(), first);
+  EXPECT_EQ(interceptor.kept.use_count(), 1);
+
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    const util::Bytes later = util::random_payload(27, 100 + i);
+    medium.transmit(0, util::BytesView(later), Duration::microseconds(100));
+    sim.run();
+    ASSERT_EQ(interceptor.kept.bytes(), first) << "after transmit " << i;
+  }
+  EXPECT_EQ(rx1.size(), 1001u);
 }
 
 TEST_F(MediumTest, ReattachReplacesHandler) {

@@ -41,10 +41,14 @@ TEST_F(RadioTest, OversizedFrameRejected) {
   Radio tx = make_radio(0);
   const util::Bytes big(kRpcMaxFrameBytes + 1, 0xee);
   EXPECT_FALSE(tx.send(big));
-  EXPECT_EQ(tx.counters().frames_rejected, 1u);
+  EXPECT_FALSE(tx.send(util::BytesView(big)));
+  EXPECT_EQ(tx.counters().frames_rejected, 2u);
+  EXPECT_EQ(tx.queue_depth(), 0u);
   EXPECT_EQ(tx.counters().frames_sent, 0u);
-  // Exactly at the limit is fine.
+  // Exactly at the limit is fine, through either overload.
   EXPECT_TRUE(tx.send(util::Bytes(kRpcMaxFrameBytes, 0xdd)));
+  const util::Bytes at_limit(kRpcMaxFrameBytes, 0xcc);
+  EXPECT_TRUE(tx.send(util::BytesView(at_limit)));
 }
 
 TEST_F(RadioTest, FramesAreSerializedWithInterframeGap) {
@@ -80,6 +84,53 @@ TEST_F(RadioTest, QueueDrainsInOrder) {
   EXPECT_TRUE(tx.idle());
   ASSERT_EQ(order.size(), 10u);
   for (std::uint8_t i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+}
+
+// The queue is a ring of slots that keep their buffers. Frames of varying
+// length go in through both send overloads while earlier ones drain, so
+// the ring wraps around, grows while wrapped (its first growth is to 8
+// slots, then it doubles), and refills slots that held longer frames.
+// The peer must hear every frame intact, in send order.
+TEST_F(RadioTest, QueueKeepsFifoOrderAcrossWrapAndGrowth) {
+  Radio tx = make_radio(0);
+  Radio rx = make_radio(1);
+  std::vector<util::Bytes> received;
+  rx.set_receive_callback(
+      [&](sim::NodeId, const util::Bytes& f) { received.push_back(f); });
+  std::vector<util::Bytes> sent;
+  const auto send = [&](std::size_t count) {
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::size_t i = sent.size();
+      // Lengths cycle 27, 26, ..., 1 so a slot often gets a shorter frame
+      // than it last held; the first byte numbers the frame.
+      util::Bytes frame(kRpcMaxFrameBytes - i % kRpcMaxFrameBytes,
+                        static_cast<std::uint8_t>(0xa0 + i % 16));
+      frame[0] = static_cast<std::uint8_t>(i);
+      sent.push_back(frame);
+      if (i % 2 == 0) {
+        EXPECT_TRUE(tx.send(util::BytesView(frame)));
+      } else {
+        EXPECT_TRUE(tx.send(std::move(frame)));
+      }
+    }
+  };
+  const auto drain_until = [&](std::size_t heard) {
+    while (received.size() < heard && sim.step()) {
+    }
+  };
+  send(6);
+  drain_until(4);   // head of the 8-slot ring at 4, frames 4 and 5 queued
+  send(6);          // fills the ring, wrapping into slots 0-3
+  EXPECT_EQ(tx.queue_depth(), 8u);
+  send(3);          // grows while wrapped
+  drain_until(10);
+  send(20);         // grows again
+  drain_until(30);
+  send(7);
+  sim.run();
+  EXPECT_TRUE(tx.idle());
+  EXPECT_EQ(received, sent);
+  EXPECT_EQ(tx.counters().frames_sent, sent.size());
 }
 
 TEST_F(RadioTest, AirtimeScalesWithSizeAndOverhead) {

@@ -12,6 +12,7 @@
 
 #include "runner/experiment.hpp"
 #include "runner/seeds.hpp"
+#include "runner/star.hpp"
 #include "runner/thread_pool.hpp"
 #include "runner/trial_runner.hpp"
 
@@ -203,6 +204,29 @@ TEST(RunExperiment, GroundTruthRunsOnlyAtTheReceiver) {
   }
   EXPECT_TRUE(truth_metrics.contains("n0.aff.truth.fragments_seen"));
   EXPECT_GT(result.truth_delivered, 0u);
+}
+
+// Star destroys its medium before its simulator. Cut mid-send with every
+// delivery delayed by the fault plan, the simulator still holds
+// interceptor copies of the medium's pooled payloads when the medium and
+// its pool die; each is freed by its last holder as the simulator goes
+// (the ASan build checks the teardown).
+TEST(RunExperiment, StarCutMidSendTearsDownPooledPayloadsCleanly) {
+  runner::StarSpec spec = runner::star_spec(small_config());
+  retri::fault::FaultPlan plan;
+  plan.delay_prob = 1.0;
+  plan.max_delay = retri::sim::Duration::milliseconds(20);
+  spec.faults = plan;
+  std::uint64_t delivered = 0;
+  {
+    runner::Star star(spec);
+    star.sim.run_until(retri::sim::TimePoint::origin() +
+                       retri::sim::Duration::milliseconds(500));
+    delivered = star.medium.stats().delivered;
+    EXPECT_GT(star.injector->stats().delayed_copies, delivered)
+        << "some delayed copies should still be in flight";
+  }
+  EXPECT_GT(delivered, 0u);
 }
 
 TEST(ExperimentConfigValidation, RejectsBadKnobs) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "util/random.hpp"
 
@@ -131,6 +132,47 @@ TEST_F(TrafficSourceTest, StopHaltsGeneration) {
   const auto sent = source.packets_sent();
   sim.run_until(sim::TimePoint::origin() + sim::Duration::seconds(20));
   EXPECT_EQ(source.packets_sent(), sent);
+}
+
+// The source holds its one pending poll as an EventHandle and cancels it
+// on destruction: a source destroyed mid-run sends nothing more (and the
+// ASan build checks nothing touches it).
+TEST_F(TrafficSourceTest, DestroyedSourceWithPendingPollFiresNothing) {
+  {
+    TrafficSource source(sim, driver,
+                         std::make_unique<PeriodicWorkload>(
+                             sim::Duration::seconds(1), 40),
+                         14);
+    source.start(sim::TimePoint::origin() + sim::Duration::seconds(10));
+    sim.run_until(sim::TimePoint::origin() + sim::Duration::milliseconds(2500));
+    EXPECT_EQ(source.packets_sent(), 2u);
+  }
+  sim.run_until(sim::TimePoint::origin() + sim::Duration::seconds(20));
+  EXPECT_EQ(driver.stats().packets_sent, 2u);
+  EXPECT_EQ(packets_received, 2);
+}
+
+// The observer sees each packet as it was sent, though the source refills
+// one payload buffer for every packet.
+TEST_F(TrafficSourceTest, ObserverSeesEachPacketAsSent) {
+  std::vector<util::Bytes> observed;
+  std::vector<util::Bytes> delivered;
+  rx_driver.set_packet_handler([&](util::BytesView packet) {
+    delivered.emplace_back(packet.begin(), packet.end());
+  });
+  TrafficSource source(sim, driver,
+                       std::make_unique<PoissonWorkload>(
+                           sim::Duration::milliseconds(300), 50),
+                       15);
+  source.set_packet_observer([&](util::BytesView packet) {
+    observed.emplace_back(packet.begin(), packet.end());
+  });
+  source.start(sim::TimePoint::origin() + sim::Duration::seconds(5));
+  sim.run();
+  ASSERT_EQ(observed.size(), source.packets_sent());
+  EXPECT_GT(observed.size(), 5u);
+  EXPECT_EQ(delivered, observed);
+  EXPECT_NE(observed[0], observed[1]);
 }
 
 TEST_F(TrafficSourceTest, DeterministicAcrossRuns) {

@@ -139,11 +139,14 @@ std::vector<Rule> make_default_rules() {
       R"(\bstd::make_shared\b|\bstd::shared_ptr\b)",
       {},
       {},
-      "shared_ptr refcounting allocates on the sim/core hot path; use the "
-      "event slab, pooled records, or util::SharedBytes — escape with "
+      "shared_ptr refcounting allocates and takes locked atomics on the "
+      "sim/core hot path and the send path (util::SharedBytes, the radio "
+      "queue, the traffic source); use the event slab, pooled records, "
+      "intrusive single-threaded counts or sim::EventHandle — escape with "
       "retri-lint: allow(no-shared-ptr-hot) where ownership is genuinely "
       "shared",
-      {"src/sim/", "src/core/"}});
+      {"src/sim/", "src/core/", "src/util/bytes.", "src/radio/radio.",
+       "src/apps/workload."}});
 
   rules.push_back(Rule{
       "no-priority-queue-sim",
