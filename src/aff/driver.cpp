@@ -286,18 +286,18 @@ void AffDriver::handle_data(const DataFragment& data,
 
 void AffDriver::on_frame(sim::NodeId from, const util::Bytes& frame) {
   (void)from;  // address-free: the sender's identity is never used
-  const auto decoded = decode(config_.wire, frame);
-  if (!decoded) {
+  DecodedFragment decoded;
+  if (!decode(config_.wire, frame, decoded)) {
     counters_.undecodable_frames.inc();
     RETRI_LOG(kDebug) << "dropped undecodable frame of " << frame.size()
                       << " bytes";
     return;
   }
-  if (const auto* intro = std::get_if<IntroFragment>(&decoded->body)) {
-    handle_intro(*intro, decoded->true_packet_id);
-  } else if (const auto* data = std::get_if<DataFragment>(&decoded->body)) {
-    handle_data(*data, decoded->true_packet_id);
-  } else if (const auto* notify = std::get_if<CollisionNotify>(&decoded->body)) {
+  if (const auto* intro = std::get_if<IntroFragment>(&decoded.body)) {
+    handle_intro(*intro, decoded.true_packet_id);
+  } else if (const auto* data = std::get_if<DataFragment>(&decoded.body)) {
+    handle_data(*data, decoded.true_packet_id);
+  } else if (const auto* notify = std::get_if<CollisionNotify>(&decoded.body)) {
     counters_.notifications_heard.inc();
     selector_.notify_collision(notify->id);
   }

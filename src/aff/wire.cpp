@@ -92,59 +92,68 @@ util::Bytes encode_notify(const WireConfig& config, const CollisionNotify& f) {
   return out;
 }
 
-std::optional<DecodedFragment> decode(const WireConfig& config,
-                                      util::BytesView frame) {
+bool decode(const WireConfig& config, util::BytesView frame,
+            DecodedFragment& out) {
   util::BufferReader r(frame);
   const auto kind_field = r.u8();
-  if (!kind_field) return std::nullopt;
+  if (!kind_field) return false;
 
   const bool instrumented = (*kind_field & kInstrumentedFlag) != 0;
   const auto kind = static_cast<FragmentKind>(*kind_field & ~kInstrumentedFlag);
 
-  DecodedFragment out;
   if (kind == FragmentKind::kCollisionNotify) {
-    if (instrumented) return std::nullopt;  // never emitted; reject
+    if (instrumented) return false;  // never emitted; reject
     // Strict read: nonzero padding bits in the id field prove corruption
     // (encoders always write them as zero), and masking them off would
     // yield a frame that re-encodes differently than it arrived.
     const auto id = r.uvar_strict(config.id_bits);
-    if (!id || !r.empty()) return std::nullopt;
-    out.body = CollisionNotify{core::TransactionId(*id)};
-    return out;
+    if (!id || !r.empty()) return false;
+    out.body.emplace<CollisionNotify>(core::TransactionId(*id));
+    out.true_packet_id.reset();
+    return true;
   }
 
   // Intro and data fragments must match the receiver's instrumentation
   // configuration; a mismatch means a foreign/corrupt frame.
-  if (instrumented != config.instrumented) return std::nullopt;
+  if (instrumented != config.instrumented) return false;
+  out.true_packet_id.reset();
   if (instrumented) {
     const auto true_id = r.u64();
-    if (!true_id) return std::nullopt;
+    if (!true_id) return false;
     out.true_packet_id = *true_id;
   }
 
   const auto id = r.uvar_strict(config.id_bits);
-  if (!id) return std::nullopt;
+  if (!id) return false;
 
   switch (kind) {
     case FragmentKind::kIntro: {
       const auto total_len = r.u16();
       const auto checksum = r.u32();
-      if (!total_len || !checksum || !r.empty()) return std::nullopt;
-      out.body = IntroFragment{core::TransactionId(*id), *total_len, *checksum};
-      return out;
+      if (!total_len || !checksum || !r.empty()) return false;
+      out.body.emplace<IntroFragment>(core::TransactionId(*id), *total_len,
+                                      *checksum);
+      return true;
     }
     case FragmentKind::kData: {
       const auto offset = r.u16();
-      if (!offset) return std::nullopt;
+      if (!offset) return false;
       // Zero-copy: the fragment borrows the remaining frame bytes.
-      const auto payload = r.raw_view(r.remaining());
-      out.body = DataFragment{core::TransactionId(*id), *offset, *payload};
-      return out;
+      out.body.emplace<DataFragment>(core::TransactionId(*id), *offset,
+                                     r.rest());
+      return true;
     }
     case FragmentKind::kCollisionNotify:
       break;  // handled above
   }
-  return std::nullopt;
+  return false;
+}
+
+std::optional<DecodedFragment> decode(const WireConfig& config,
+                                      util::BytesView frame) {
+  std::optional<DecodedFragment> out(std::in_place);
+  if (!decode(config, frame, *out)) out.reset();
+  return out;
 }
 
 }  // namespace retri::aff

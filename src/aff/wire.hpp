@@ -97,9 +97,15 @@ void encode_data(const WireConfig& config, const DataFragment& f,
 void encode_notify(const WireConfig& config, const CollisionNotify& f,
                    util::Bytes& out);
 
-/// Decodes any AFF frame. Returns nullopt on truncation, unknown kind, or
-/// an instrumentation flag mismatching the configuration — a malformed
-/// frame is dropped, never trusted.
+/// Decodes any AFF frame into `out`, emplacing the body's alternative and
+/// setting or clearing true_packet_id in place. Returns false on
+/// truncation, unknown kind, or an instrumentation flag mismatching the
+/// configuration — a malformed frame is dropped, never trusted; `out` is
+/// then left valid but unspecified.
+bool decode(const WireConfig& config, util::BytesView frame,
+            DecodedFragment& out);
+
+/// The same decode returning its result; nullopt for a rejected frame.
 std::optional<DecodedFragment> decode(const WireConfig& config,
                                       util::BytesView frame);
 

@@ -160,9 +160,9 @@ void AttackerNode::forge_transaction(core::TransactionId id) {
 }
 
 void AttackerNode::snoop(const util::SharedBytes& payload) {
-  const auto decoded = aff::decode(wire_, payload.view());
-  if (!decoded) return;
-  const auto* intro = std::get_if<aff::IntroFragment>(&decoded->body);
+  aff::DecodedFragment decoded;
+  if (!aff::decode(wire_, payload.view(), decoded)) return;
+  const auto* intro = std::get_if<aff::IntroFragment>(&decoded.body);
   if (intro == nullptr) return;
   counters_.intros_overheard.inc();
   if (!echo_rng_.chance(plan_.echo_probability)) return;

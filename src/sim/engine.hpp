@@ -13,13 +13,9 @@
 // every closure the simulation schedules (heap fallback for oversized
 // captures). After warmup, schedule → fire → recycle touches no allocator.
 //
-// Event ordering runs on a ladder queue (DESIGN.md §5j) instead of a binary
-// heap: a wheel of near-future buckets indexed by time gives O(1) amortized
-// enqueue/dequeue at high event rates, a far-future overflow rung absorbs
-// everything beyond the wheel's horizon, and buckets are sorted lazily the
-// first time the front reaches them. The pop order is the exact global
-// (time, seq) minimum — identical to the heap it replaced — so golden
-// fingerprints and jobs-invariance are unaffected by the data structure.
+// Event ordering runs on a 4-ary min-heap of small POD entries (DESIGN.md
+// §5j). The pop order is the exact global (time, seq) minimum, so golden
+// fingerprints and jobs-invariance do not depend on the data structure.
 #pragma once
 
 #include <cassert>
@@ -201,7 +197,7 @@ inline void unref(EventSlab* slab) noexcept {
   if (--slab->refs == 0) delete slab;
 }
 
-/// Queue entries are 28-byte PODs; the callable stays in the slab so queue
+/// Queue entries are 32-byte PODs; the callable stays in the slab so queue
 /// reordering never touches it.
 struct QueueEntry {
   TimePoint t;
@@ -213,137 +209,69 @@ struct QueueEntry {
 /// The engine's total event order: earliest time first, scheduling order
 /// (seq) within a timestamp. seq is unique, so this is a strict total order
 /// — any correct priority queue pops the exact same sequence, which is why
-/// swapping the binary heap for the ladder queue cannot move a fingerprint.
+/// the choice of queue cannot move a fingerprint.
 inline bool entry_less(const QueueEntry& a, const QueueEntry& b) noexcept {
   if (a.t != b.t) return a.t < b.t;
   return a.seq < b.seq;
 }
 
-/// Ladder / calendar priority queue over QueueEntry (DESIGN.md §5j).
-///
-/// Three rungs:
-///   - wheel:    kNumBuckets near-future buckets of width 2^shift_ ns each,
-///               indexed by absolute bucket number (t >> shift_). Inserts
-///               are push_back; a bucket is sorted (by entry_less) lazily
-///               when the front first reaches it. Draining advances a head
-///               index, never erases.
-///   - overflow: unsorted vector for events at or beyond the wheel horizon.
-///               When the wheel drains, rebase() re-anchors the wheel at the
-///               overflow minimum and re-tunes the bucket width so the bulk
-///               of the overflow spreads across the window (amortized O(1)
-///               per event: every rebase moves at least the minimum).
-///   - front:    a small sorted rung for events scheduled *below* the front
-///               bucket. Possible only after run_until() advanced the clock
-///               without popping (the wheel front is parked at a far-future
-///               minimum); such an event is by construction the new global
-///               minimum, strictly earlier than every wheel/overflow entry.
-///               Overflowing this rung (> kMaxFrontRung) evacuates the wheel
-///               back to the overflow rung and rebases around the new min.
-///
-/// All operations preserve the exact entry_less pop order; determinism
-/// needs no tie-break beyond (t, seq) because seq is unique.
-class LadderQueue {
+/// Implicit 4-ary min-heap over QueueEntry in entry_less order (DESIGN.md
+/// §5j). Node i's children are 4i+1..4i+4, so a sift-down compares four
+/// adjacent entries per level over half the levels of a binary heap. The
+/// vector keeps its capacity, so pushes stop allocating once it has held
+/// the largest pending set.
+class EventHeap {
  public:
-  LadderQueue() : buckets_(kNumBuckets) {}
-
-  /// Inserts an entry. Amortized O(1); no allocation once the bucket and
-  /// rung vectors have grown to steady-state capacity.
-  void push(const QueueEntry& e);
-
   /// Note: counts lazily-cancelled (stale) entries until they are popped.
-  bool empty() const noexcept { return size_ == 0; }
-  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return items_.empty(); }
+  std::size_t size() const noexcept { return items_.size(); }
 
-  /// Positions the front and returns the minimum entry, or nullptr when
-  /// empty. The pointer is invalidated by any push/pop.
-  const QueueEntry* peek();
+  /// The minimum entry, or nullptr when empty. Invalidated by push/pop.
+  const QueueEntry* peek() const noexcept {
+    return items_.empty() ? nullptr : items_.data();
+  }
+
+  void push(const QueueEntry& e) {
+    items_.push_back(e);
+    std::size_t i = items_.size() - 1;
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!entry_less(e, items_[parent])) break;
+      items_[i] = items_[parent];
+      i = parent;
+    }
+    items_[i] = e;
+  }
 
   /// Removes and returns the minimum entry. Precondition: !empty().
-  QueueEntry pop();
-
-  /// pop() without re-positioning the front. Precondition: the last call
-  /// was a peek() that returned an entry, with no push or pop since.
-  QueueEntry pop_peeked();
+  QueueEntry pop() noexcept {
+    assert(!items_.empty() && "pop on an empty EventHeap");
+    const QueueEntry top = items_.front();
+    const QueueEntry last = items_.back();
+    items_.pop_back();
+    const std::size_t n = items_.size();
+    if (n == 0) return top;
+    // Sift the former last entry down from the root.
+    std::size_t i = 0;
+    for (;;) {
+      const std::size_t first = i * kArity + 1;
+      if (first >= n) break;
+      const std::size_t end = first + kArity < n ? first + kArity : n;
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < end; ++c) {
+        if (entry_less(items_[c], items_[best])) best = c;
+      }
+      if (!entry_less(items_[best], last)) break;
+      items_[i] = items_[best];
+      i = best;
+    }
+    items_[i] = last;
+    return top;
+  }
 
  private:
-  static constexpr std::uint64_t kNumBuckets = 256;  // power of two
-  static constexpr std::uint64_t kIndexMask = kNumBuckets - 1;
-  // Bucket-width bounds: 2^6 ns = 64 ns floor keeps dense bursts from
-  // degenerating into one-entry buckets; 2^40 ns ≈ 18 min ceiling bounds
-  // the widest rung (beyond it the overflow just rebases more than once).
-  static constexpr unsigned kMinShift = 6;
-  static constexpr unsigned kMaxShift = 40;
-  static constexpr unsigned kDefaultShift = 16;  // 65.5 µs buckets
-  static constexpr std::size_t kMaxFrontRung = 64;
-
-  struct Bucket {
-    std::vector<QueueEntry> items;
-    std::size_t head = 0;    // items[0..head) already popped
-    bool sorted = true;      // [head, end) is entry_less-ascending
-  };
-
-  static std::uint64_t time_key(const QueueEntry& e) noexcept {
-    return static_cast<std::uint64_t>(e.t.ns());
-  }
-
-  Bucket& bucket_at(std::uint64_t abs) noexcept {
-    return buckets_[abs & kIndexMask];
-  }
-
-  /// Advances the front to the first non-empty wheel bucket (rebasing from
-  /// the overflow rung when the wheel is dry) and sorts it if needed.
-  /// Returns false when wheel + overflow are both empty. Does not look at
-  /// the front rung — callers consult that first.
-  bool position_front();
-
-  /// Maintains the wheel/overflow boundary invariant: every overflow entry
-  /// sits at or beyond the wheel horizon (cur_abs_ + kNumBuckets). Called
-  /// whenever cur_abs_ advances — before the horizon slides past the
-  /// earliest overflow entry, every overflow entry inside the new window is
-  /// transferred into its bucket. Without this, an event pushed into the
-  /// (now wider) window could pop before an older overflow entry.
-  void pull_overflow_into_window();
-
-  /// Hands a drained bucket's vector to the spare pool and takes one back
-  /// on first use of a cold slot, so the sliding window reuses capacity
-  /// across bucket slots instead of growing each of the kNumBuckets
-  /// vectors independently (steady state stays allocation-free within one
-  /// wheel lap instead of 256).
-  void recycle_bucket(Bucket& b);
-
-  /// Gives a cold (capacity-0) bucket the most recently recycled spare, in
-  /// O(1), topped up to spare_cap_hwm_ so a spare recycled before the mark
-  /// last grew cannot force a regrowth in a full bucket on the next lap.
-  void take_spare(Bucket& b);
-
-  /// Re-anchors the empty wheel at the overflow minimum, re-tunes shift_
-  /// so the overflow span covers at most half the window, and distributes
-  /// every overflow entry inside the new horizon into its bucket.
-  void rebase();
-
-  /// Front-rung overflow: dumps wheel + front rung + `e` into the overflow
-  /// rung and rebases around the new global minimum.
-  void evacuate_and_push(const QueueEntry& e);
-
-  std::vector<Bucket> buckets_;
-  std::vector<QueueEntry> overflow_;
-  std::vector<QueueEntry> front_;  // entry_less-DESCENDING; min at back()
-  std::vector<std::vector<QueueEntry>> spare_;  // recycled bucket storage
-  // Largest bucket capacity ever recycled. Undersized vectors (partial edge
-  // buckets of a lap) are topped up to this when recycled, and again when
-  // taken if the mark has grown since, so the pool turns uniform during
-  // warmup instead of regrowing a runt every lap. Total
-  // memory stays within the classic calendar-queue bound (every slot at
-  // max observed fill); vectors never shrink anyway.
-  std::size_t spare_cap_hwm_ = 0;
-  std::uint64_t cur_abs_ = 0;      // absolute index of the front bucket
-  // Smallest absolute bucket index over the overflow rung (in current
-  // shift_ units); ~0 when the overflow is empty. The wheel horizon never
-  // passes it — see pull_overflow_into_window().
-  std::uint64_t overflow_min_abs_ = ~std::uint64_t{0};
-  unsigned shift_ = kDefaultShift;  // retuned on rebase / empty re-anchor
-  std::size_t size_ = 0;           // total entries across all rungs
-  std::size_t wheel_count_ = 0;    // entries currently in wheel buckets
+  static constexpr std::size_t kArity = 4;
+  std::vector<QueueEntry> items_;
 };
 
 }  // namespace detail
@@ -431,11 +359,10 @@ class Simulator {
 
  private:
   /// Pops entries whose slot generation moved on (cancelled events) off the
-  /// queue head, then returns the live minimum (nullptr when drained),
-  /// leaving the queue front positioned on it.
+  /// queue head, then returns the live minimum (nullptr when drained).
   const detail::QueueEntry* skip_stale();
 
-  /// Fires the live minimum skip_stale() just returned.
+  /// Pops and fires the live minimum skip_stale() just returned.
   void fire_front();
 
   TimePoint now_;
@@ -444,7 +371,7 @@ class Simulator {
   // One allocation per Simulator (not per event); reference-counted so
   // handles that outlive the simulator expire instead of dangling.
   detail::EventSlab* slab_;
-  detail::LadderQueue queue_;
+  detail::EventHeap queue_;
 };
 
 }  // namespace retri::sim

@@ -82,69 +82,6 @@ void BufferWriter::raw(BytesView data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
 }
 
-std::optional<std::uint8_t> BufferReader::u8() noexcept {
-  if (remaining() < 1) return std::nullopt;
-  return data_[pos_++];
-}
-
-std::optional<std::uint16_t> BufferReader::u16() noexcept {
-  if (remaining() < 2) return std::nullopt;
-  std::uint16_t v = static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(data_[pos_]) << 8) | data_[pos_ + 1]);
-  pos_ += 2;
-  return v;
-}
-
-std::optional<std::uint32_t> BufferReader::u32() noexcept {
-  if (remaining() < 4) return std::nullopt;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 4;
-  return v;
-}
-
-std::optional<std::uint64_t> BufferReader::u64() noexcept {
-  if (remaining() < 8) return std::nullopt;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 8;
-  return v;
-}
-
-std::optional<std::uint64_t> BufferReader::uvar(unsigned bits) noexcept {
-  const std::size_t nbytes = bytes_for_bits(bits);
-  if (remaining() < nbytes) return std::nullopt;
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < nbytes; ++i) v = (v << 8) | data_[pos_ + i];
-  pos_ += nbytes;
-  return v & low_mask(bits);
-}
-
-std::optional<std::uint64_t> BufferReader::uvar_strict(unsigned bits) noexcept {
-  const std::size_t nbytes = bytes_for_bits(bits);
-  if (remaining() < nbytes) return std::nullopt;
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < nbytes; ++i) v = (v << 8) | data_[pos_ + i];
-  pos_ += nbytes;
-  if ((v & ~low_mask(bits)) != 0) return std::nullopt;
-  return v;
-}
-
-std::optional<Bytes> BufferReader::raw(std::size_t n) {
-  if (remaining() < n) return std::nullopt;
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
-}
-
-std::optional<BytesView> BufferReader::raw_view(std::size_t n) noexcept {
-  if (remaining() < n) return std::nullopt;
-  BytesView out = data_.subspan(pos_, n);
-  pos_ += n;
-  return out;
-}
-
 std::string to_hex(BytesView data) {
   static constexpr char digits[] = "0123456789abcdef";
   std::string out;

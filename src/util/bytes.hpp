@@ -15,6 +15,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/bitops.hpp"
+
 namespace retri::util {
 
 using Bytes = std::vector<std::uint8_t>;
@@ -162,19 +164,37 @@ class BufferWriter {
 /// Reads big-endian fields from a byte span. All accessors return
 /// std::nullopt on underrun instead of throwing; a malformed frame received
 /// from the radio must never crash a node (DESIGN.md: errors are the norm).
+/// They are defined here, inline, so a decoder built on them (aff::decode)
+/// compiles into straight-line code.
 class BufferReader {
  public:
   explicit BufferReader(BytesView data) noexcept : data_(data) {}
 
-  std::optional<std::uint8_t> u8() noexcept;
-  std::optional<std::uint16_t> u16() noexcept;
-  std::optional<std::uint32_t> u32() noexcept;
-  std::optional<std::uint64_t> u64() noexcept;
+  std::optional<std::uint8_t> u8() noexcept {
+    if (remaining() < 1) return std::nullopt;
+    return data_[pos_++];
+  }
+  std::optional<std::uint16_t> u16() noexcept {
+    if (remaining() < 2) return std::nullopt;
+    return static_cast<std::uint16_t>(take_be(2));
+  }
+  std::optional<std::uint32_t> u32() noexcept {
+    if (remaining() < 4) return std::nullopt;
+    return static_cast<std::uint32_t>(take_be(4));
+  }
+  std::optional<std::uint64_t> u64() noexcept {
+    if (remaining() < 8) return std::nullopt;
+    return take_be(8);
+  }
 
   /// Reads a field written by BufferWriter::uvar with the same bit width.
   /// Padding bits (the high bits of the byte-aligned field beyond `bits`)
   /// are masked off, so corrupted padding aliases onto a valid value.
-  std::optional<std::uint64_t> uvar(unsigned bits) noexcept;
+  std::optional<std::uint64_t> uvar(unsigned bits) noexcept {
+    const std::size_t nbytes = bytes_for_bits(bits);
+    if (remaining() < nbytes) return std::nullopt;
+    return take_be(nbytes) & low_mask(bits);
+  }
 
   /// Like uvar, but rejects (nullopt) fields whose padding bits are
   /// nonzero. BufferWriter::uvar always writes them as zero, so a nonzero
@@ -182,16 +202,23 @@ class BufferReader {
   /// width — wire decoders use this to drop such frames instead of
   /// silently aliasing them onto a masked identifier (which would break
   /// the decode→re-encode round-trip property the fuzz tests assert).
-  std::optional<std::uint64_t> uvar_strict(unsigned bits) noexcept;
-
-  /// Reads exactly n bytes into an owning copy; nullopt if fewer remain.
-  /// Prefer raw_view() on decode paths — this allocates.
-  std::optional<Bytes> raw(std::size_t n);
+  std::optional<std::uint64_t> uvar_strict(unsigned bits) noexcept {
+    const std::size_t nbytes = bytes_for_bits(bits);
+    if (remaining() < nbytes) return std::nullopt;
+    const std::uint64_t v = take_be(nbytes);
+    if ((v & ~low_mask(bits)) != 0) return std::nullopt;
+    return v;
+  }
 
   /// Reads exactly n bytes as a view into the underlying buffer (no copy);
   /// nullopt if fewer remain. The view is valid only as long as the buffer
   /// the reader was constructed over.
-  std::optional<BytesView> raw_view(std::size_t n) noexcept;
+  std::optional<BytesView> raw_view(std::size_t n) noexcept {
+    if (remaining() < n) return std::nullopt;
+    const BytesView out = data_.subspan(pos_, n);
+    pos_ += n;
+    return out;
+  }
 
   /// All bytes not yet consumed.
   BytesView rest() const noexcept { return data_.subspan(pos_); }
@@ -200,6 +227,15 @@ class BufferReader {
   bool empty() const noexcept { return pos_ >= data_.size(); }
 
  private:
+  /// Consumes n (at most 8, at most remaining()) bytes as one big-endian
+  /// value.
+  std::uint64_t take_be(std::size_t n) noexcept {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < n; ++i) v = (v << 8) | data_[pos_ + i];
+    pos_ += n;
+    return v;
+  }
+
   BytesView data_;
   std::size_t pos_ = 0;
 };

@@ -53,7 +53,9 @@ TEST(BufferRoundTrip, AllFieldWidths) {
   EXPECT_EQ(r.u32(), 0xcafebabe);
   EXPECT_EQ(r.u64(), 0x1122334455667788ULL);
   EXPECT_EQ(r.uvar(9), 0x155u);
-  EXPECT_EQ(r.raw(3), payload);
+  const auto tail = r.raw_view(3);
+  ASSERT_TRUE(tail.has_value());
+  EXPECT_EQ(Bytes(tail->begin(), tail->end()), payload);
   EXPECT_TRUE(r.empty());
 }
 
@@ -64,7 +66,7 @@ TEST(BufferReader, UnderrunReturnsNulloptNotCrash) {
   EXPECT_FALSE(r.u32().has_value());
   EXPECT_FALSE(r.u64().has_value());
   EXPECT_FALSE(r.uvar(16).has_value());
-  EXPECT_FALSE(r.raw(2).has_value());
+  EXPECT_FALSE(r.raw_view(2).has_value());
   // The single byte is still readable after the failed attempts.
   EXPECT_EQ(r.u8(), 0x01);
   EXPECT_FALSE(r.u8().has_value());
@@ -90,7 +92,7 @@ TEST(BufferReader, RestReturnsUnconsumedSuffix) {
 TEST(BufferReader, RawZeroBytesSucceeds) {
   const Bytes data = {9};
   BufferReader r(data);
-  const auto empty = r.raw(0);
+  const auto empty = r.raw_view(0);
   ASSERT_TRUE(empty.has_value());
   EXPECT_TRUE(empty->empty());
   EXPECT_EQ(r.remaining(), 1u);

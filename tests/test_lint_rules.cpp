@@ -239,8 +239,8 @@ TEST(LintRules, PriorityQueueBannedUnderSimOnly) {
   const auto vs = scan("src/sim/engine.hpp", body);
   EXPECT_TRUE(has_violation(vs, "no-priority-queue-sim"));
   // Tests keep it as a differential oracle, and other layers are free to
-  // use it — only the sim event core is locked to the ladder queue.
-  EXPECT_FALSE(has_violation(scan("tests/test_ladder_queue.cpp", body),
+  // use it — only the sim event core is locked to the 4-ary event heap.
+  EXPECT_FALSE(has_violation(scan("tests/test_event_queue.cpp", body),
                              "no-priority-queue-sim"));
   EXPECT_FALSE(has_violation(scan("src/runner/thread_pool.cpp", body),
                              "no-priority-queue-sim"));

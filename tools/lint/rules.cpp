@@ -154,10 +154,9 @@ std::vector<Rule> make_default_rules() {
       R"(\bstd::priority_queue\b)",
       {},
       {},
-      "the event core runs on the ladder queue (sim/engine.hpp, DESIGN.md "
-      "§5j); reintroducing std::priority_queue under src/sim silently "
-      "reverts the O(log n) hot path — tests may still use it as a "
-      "differential oracle",
+      "the event core runs on a 4-ary heap (sim/engine.hpp, DESIGN.md "
+      "§5j); a binary std::priority_queue under src/sim measured slower "
+      "per event — tests may still use it as a differential oracle",
       {"src/sim/"}});
 
   rules.push_back(Rule{
