@@ -21,11 +21,13 @@
 //
 // gives the same run an on-disk memo store (SweepOptions::cache_dir):
 // trials already in the store are served without simulation, the rest run
-// on --jobs workers and are added to it. The table and the --out artifact
-// are byte-identical to an uncached run.
+// on --jobs workers and are added to it as each finishes. The table and the
+// --out artifact are byte-identical to an uncached run. A directory that
+// cannot be created or written exits 2 before anything is simulated.
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <system_error>
 #include <utility>
 
 #include "harness.hpp"
@@ -137,7 +139,14 @@ int main(int argc, char** argv) {
                  static_cast<int>(progress.label.size()),
                  progress.label.data());
   };
-  const runner::SweepResult result = runner::SweepRunner(options).run(spec);
+  runner::SweepResult result;
+  try {
+    result = runner::SweepRunner(options).run(spec);
+  } catch (const std::system_error& e) {
+    // The store's directory is unusable: raised before any cell runs.
+    std::fprintf(stderr, "retri_bench: %s\n", e.what());
+    return 2;
+  }
   if (!args.cache.empty()) {
     std::fprintf(stderr, "cache %s: %llu hits, %llu simulated\n",
                  args.cache.c_str(),

@@ -14,7 +14,7 @@
 #                (which includes `ctest -L repro`: the paper's claims over
 #                their named sweeps at the registry defaults, and the table
 #                binaries' shape checks)
-#   2. lint    — retri_lint over the tree with an empty baseline
+#   2. lint    — retri_lint over the tree (all three engines)
 #   3. graph   — retri_lint --graph check: include-graph layering + cycle
 #                rules over src/ (also part of --quick)
 #   4. tidy    — RETRI_TIDY=ON build (curated .clang-tidy, warnings fatal);
@@ -32,10 +32,11 @@
 #                attacker model) plus a short
 #                attacker soak: `retri_bench --sweep selectors` at --jobs 1
 #                vs --jobs 8 must emit byte-identical artifacts
-#   9. cache   — memo-store gate under the werror build: the cache and
-#                memo suites of `ctest -L runner` (ServeCacheTest: LRU, CRC,
-#                crash points; MemoTest: a sweep and a chaos soak given a
-#                store) plus one short sweep run three times — uncached,
+#   9. cache   — memo-store gate under the werror build: the store and
+#                memo suites of `ctest -L runner` (ServeCacheTest: restart
+#                reads, CRC and key checks, crash points, ENOSPC; MemoTest:
+#                a sweep and a chaos soak given a store, per-cell commits)
+#                plus one short sweep run three times — uncached,
 #                cold `--cache` at --jobs 1, warm `--cache` at --jobs 4: the
 #                three artifacts must be byte-identical and the warm run
 #                must report 0 simulated cells

@@ -3,7 +3,6 @@
 #include <memory>
 #include <string>
 
-#include "util/logging.hpp"
 #include "util/validate.hpp"
 
 namespace retri::aff {
@@ -162,7 +161,7 @@ void AffDriver::ensure_expiry_timer() {
 }
 
 void AffDriver::push_density_to_selector() {
-  if (config_.adaptive_density) selector_.set_density(density_->estimate());
+  selector_.set_density(density_->estimate());
 }
 
 util::Result<core::TransactionId, SendError> AffDriver::send_packet(
@@ -289,8 +288,6 @@ void AffDriver::on_frame(sim::NodeId from, const util::Bytes& frame) {
   DecodedFragment decoded;
   if (!decode(config_.wire, frame, decoded)) {
     counters_.undecodable_frames.inc();
-    RETRI_LOG(kDebug) << "dropped undecodable frame of " << frame.size()
-                      << " bytes";
     return;
   }
   if (const auto* intro = std::get_if<IntroFragment>(&decoded.body)) {

@@ -46,8 +46,6 @@ struct AffDriverConfig {
   /// Broadcast a CollisionNotify when reassembly detects conflicting
   /// fragments under one identifier (§3.2's parenthetical heuristic).
   bool send_collision_notifications = false;
-  /// Keep the selector's density estimate updated from observed traffic.
-  bool adaptive_density = true;
   /// Which transaction-density estimator to run (DESIGN.md ablation C').
   core::DensityModelKind density_model = core::DensityModelKind::kEwma;
   /// Run the instrumented ground-truth reassembly (§5.1) on frames that

@@ -42,21 +42,16 @@ IoFaultPlan validated(IoFaultPlan plan) {
   return plan;
 }
 
-IoFaultInjector::IoFaultInjector(IoFaultPlan plan, std::uint64_t seed,
-                                 obs::Hooks hooks)
+IoFaultInjector::IoFaultInjector(IoFaultPlan plan, std::uint64_t seed)
     : plan_(validated(std::move(plan))),
       short_write_seed_(derive(seed, kShortWrite)),
       eintr_seed_(derive(seed, kEintr)),
-      enospc_seed_(derive(seed, kEnospc)),
-      owned_metrics_(hooks.metrics != nullptr
-                         ? nullptr
-                         : std::make_unique<obs::MetricsRegistry>()) {
-  obs::MetricsRegistry& m =
-      hooks.metrics != nullptr ? *hooks.metrics : *owned_metrics_;
-  counters_.short_writes = m.counter("fault.io.short_writes");
-  counters_.eintr_injected = m.counter("fault.io.eintr");
-  counters_.enospc_injected = m.counter("fault.io.enospc");
-  counters_.crash_point_visits = m.counter("fault.io.crash_point_visits");
+      enospc_seed_(derive(seed, kEnospc)) {
+  counters_.short_writes = metrics_.counter("fault.io.short_writes");
+  counters_.eintr_injected = metrics_.counter("fault.io.eintr");
+  counters_.enospc_injected = metrics_.counter("fault.io.enospc");
+  counters_.crash_point_visits =
+      metrics_.counter("fault.io.crash_point_visits");
 }
 
 IoFaultStatsSnapshot IoFaultInjector::stats() const noexcept {

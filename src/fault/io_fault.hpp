@@ -21,18 +21,16 @@
 // caller's own operations on it — so no call order or thread interleaving
 // can change which faults fire.
 //
-// The injector mutates no state on the decision path and is safe to share
-// across threads; the crash-point visit counter is atomic. Tally counters
-// follow the FaultInjector convention: registry-backed under "fault.io.*",
-// with a private fallback registry so stats() works standalone (callers
-// serialize, same contract as the memo store's cache).
+// Decisions read no mutable state, and the crash-point visit counter is
+// atomic. The tallies are plain "fault.io.*" counters in the injector's
+// own registry, read through stats(), so an injector is used from one
+// thread at a time.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <memory>
 #include <string>
 #include <string_view>
 
@@ -94,12 +92,9 @@ struct IoFaultStatsSnapshot {
 
 class IoFaultInjector {
  public:
-  /// Throws std::invalid_argument if the plan fails validated(). `hooks`
-  /// wires tallies into a shared registry under "fault.io.*"; default
-  /// hooks fall back to a private registry so stats() works standalone.
-  IoFaultInjector(IoFaultPlan plan, std::uint64_t seed, obs::Hooks hooks = {});
+  /// Throws std::invalid_argument if the plan fails validated().
+  IoFaultInjector(IoFaultPlan plan, std::uint64_t seed);
 
-  const IoFaultPlan& plan() const noexcept { return plan_; }
   IoFaultStatsSnapshot stats() const noexcept;
 
   /// Write-side decision for chunk `ordinal` of the operation named
@@ -140,7 +135,7 @@ class IoFaultInjector {
   std::uint64_t eintr_seed_;
   std::uint64_t enospc_seed_;
   std::atomic<std::uint64_t> crash_visits_{0};
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // fallback registry
+  obs::MetricsRegistry metrics_;  // holds the "fault.io.*" tallies
   Counters counters_;
 };
 

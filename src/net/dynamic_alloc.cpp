@@ -4,7 +4,6 @@
 
 #include "util/bitops.hpp"
 #include "util/bytes.hpp"
-#include "util/logging.hpp"
 #include "util/validate.hpp"
 
 namespace retri::net {
@@ -66,8 +65,6 @@ void DynAllocNode::release() {
 void DynAllocNode::begin_attempt() {
   if (config_.max_attempts != 0 && attempt_ >= config_.max_attempts) {
     state_ = State::kIdle;
-    RETRI_LOG(kWarn) << "dynamic allocation gave up after " << attempt_
-                     << " attempts";
     if (on_failed_) on_failed_();
     return;
   }

@@ -94,18 +94,15 @@ MetricValue* MetricsRegistry::register_slot(std::string&& name,
 }
 
 Counter MetricsRegistry::counter(std::string name) {
-  if (!enabled_) return Counter{};
   return Counter(register_slot(std::move(name), MetricKind::kCounter));
 }
 
 Gauge MetricsRegistry::gauge(std::string name) {
-  if (!enabled_) return Gauge{};
   return Gauge(register_slot(std::move(name), MetricKind::kGauge));
 }
 
 Histogram MetricsRegistry::histogram(std::string name,
                                      std::vector<double> bounds) {
-  if (!enabled_) return Histogram{};
   if (!std::is_sorted(bounds.begin(), bounds.end())) {
     throw std::invalid_argument("MetricsRegistry: histogram \"" + name +
                                 "\" bounds must be sorted ascending");

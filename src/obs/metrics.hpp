@@ -6,21 +6,13 @@
 // counters / gauges / fixed-bucket histograms at construction time and
 // record into stable slots afterwards, so
 //   - recording is zero-allocation (a pointer deref + increment), which
-//     keeps the retri_alloc_tests budgets intact with metrics enabled;
+//     keeps the retri_alloc_tests budgets intact with metrics recorded;
 //   - a snapshot() is a plain value in registration order, diffable and
 //     serializable (obs::write_metrics_object is its one JSON encoding,
 //     embedded in every sweep-artifact trial and memo-store body);
 //   - the per-component stats structs (MediumStatsSnapshot,
 //     ReassemblerStatsSnapshot, ...) are snapshot views built from
 //     registry reads.
-//
-// Modes:
-//   - enabled (default): handles point into the registry's slot store;
-//   - runtime-disabled (MetricsRegistry::disabled()): handles come back
-//     inert — recording is a null check, snapshot() is empty;
-//   - compile-out: building with -DRETRI_OBS_NO_METRICS turns every
-//     recording call into a no-op regardless of registry state (snapshots
-//     then read zeros; the golden fingerprints never depended on them).
 //
 // Determinism: the registry is observational only — it draws no randomness
 // and schedules nothing, so attaching one cannot perturb golden
@@ -69,11 +61,7 @@ class Counter {
   constexpr Counter() = default;
 
   void inc(std::uint64_t n = 1) noexcept {
-#if !defined(RETRI_OBS_NO_METRICS)
     if (slot_ != nullptr) slot_->count += n;
-#else
-    (void)n;
-#endif
   }
 
   std::uint64_t value() const noexcept {
@@ -93,13 +81,9 @@ class Gauge {
   constexpr Gauge() = default;
 
   void set(std::int64_t v) noexcept {
-#if !defined(RETRI_OBS_NO_METRICS)
     if (slot_ == nullptr) return;
     slot_->level = v;
     if (v > slot_->peak) slot_->peak = v;
-#else
-    (void)v;
-#endif
   }
   void add(std::int64_t delta) noexcept { set(level() + delta); }
 
@@ -125,15 +109,11 @@ class Histogram {
   constexpr Histogram() = default;
 
   void record(double v) noexcept {
-#if !defined(RETRI_OBS_NO_METRICS)
     if (slot_ == nullptr) return;
     std::size_t i = 0;
     while (i < slot_->bounds.size() && v > slot_->bounds[i]) ++i;
     ++slot_->buckets[i];
     ++slot_->count;
-#else
-    (void)v;
-#endif
   }
 
   std::uint64_t count() const noexcept {
@@ -176,10 +156,6 @@ class MetricsRegistry {
  public:
   MetricsRegistry() = default;
 
-  /// A registry whose handles are all inert and whose snapshot is empty —
-  /// the runtime opt-out for contexts that want zero observability cost.
-  static MetricsRegistry disabled() { return MetricsRegistry(false); }
-
   // Handles point into this object: moving or copying it would dangle them.
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
@@ -190,16 +166,12 @@ class MetricsRegistry {
 
   MetricsSnapshot snapshot() const;
   std::size_t size() const noexcept { return slots_.size(); }
-  bool enabled() const noexcept { return enabled_; }
 
  private:
-  explicit MetricsRegistry(bool enabled) : enabled_(enabled) {}
-
   MetricValue* register_slot(std::string&& name, MetricKind kind);
 
   std::deque<MetricValue> slots_;  // deque: stable addresses for handles
   std::unordered_map<std::string, std::size_t> index_;
-  bool enabled_ = true;
 };
 
 /// Optional observability attachments threaded through component

@@ -48,7 +48,7 @@ util::Result<int, std::string> atomic_write_file(
 
   // Injected ENOSPC models the classic torn store: half the body lands,
   // then the disk is full. The partial tmp file is deliberately left
-  // behind — the next load_store() must quarantine it.
+  // behind — the next opening of the store must delete it.
   const bool enospc = faults != nullptr && faults->inject_enospc(op_key);
   const std::string_view effective =
       enospc ? contents.substr(0, contents.size() / 2) : contents;

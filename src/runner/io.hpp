@@ -6,7 +6,7 @@
 // stale-result bug the cache exists to prevent. atomic_write_file() writes
 // a same-directory temp file, fsyncs it, rename()s over the target, and
 // fsyncs the directory — so a kill at ANY instant leaves either the old
-// file, the new file, or an orphaned `*.tmp` the next load quarantines.
+// file, the new file, or an orphaned `*.tmp` that opening the store deletes.
 // The no-bare-ofstream-store lint rule bans every other write path under
 // src/runner; the open() calls here carry the tree's only allow() anchors.
 //
@@ -42,9 +42,9 @@ inline constexpr std::string_view kCrashPoints[] = {
 
 /// Atomically replaces `path` with `contents` (temp + fsync + rename +
 /// directory fsync). On failure the target is untouched; a leftover
-/// `<path>.tmp` from a crashed attempt is the caller's to quarantine on
-/// its next load. `op_key` names the operation for fault decisions (use
-/// the cache key / file stem so decisions are scheduling-invariant);
+/// `<path>.tmp` from a crashed attempt is the caller's to delete when it
+/// next opens the store. `op_key` names the operation for fault decisions
+/// (use the cache key / file stem so decisions are scheduling-invariant);
 /// `faults` may be null.
 ///
 /// Returns 0 or a one-line error. Propagates fault::CrashPointHit — by

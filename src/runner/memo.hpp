@@ -5,21 +5,17 @@
 // re-run — CI on every commit, the paper's ten trials per identifier width,
 // a sweep grown by more trials — need only simulate the cells its store has
 // never seen. SweepRunner::run and run_chaos_soak hand every batch to
-// memoize(), with or without a store, which runs it in three steps:
-//   1. probe (with a store): every key is looked up on the calling thread.
-//      A hit is trusted only when its kind matches, its body decodes, and
-//      the fingerprint re-derived from the decoded record equals the label
-//      the entry was stored under. Anything less is invalidated and
-//      re-simulated, never served;
-//   2. simulate: the remaining cells run through parallel_for, each into
-//      its own slot, so the records are identical for any jobs value;
-//   3. commit (with a store): fresh records are put() in cell order, on the
-//      calling thread again — ResultCache is not thread-safe and never
-//      leaves it. Nothing is committed before the last simulation
-//      finishes, so a run killed earlier leaves the store as it found it.
-// Without a store, no key is derived and every cell is simulated.
+// memoize(), with or without a store, which runs it as one parallel_for.
+// The job for cell i writes only out[i]. Given a store, it derives the
+// cell's key and serves the entry under it when the entry's kind matches,
+// its body decodes, and the fingerprint re-derived from the decoded record
+// equals the label the entry was stored under. Otherwise it simulates the
+// cell and commits the record on that same worker, replacing whatever the
+// key held. A run that dies keeps every cell it finished, and its re-run
+// simulates only the rest. Without a store, every cell is simulated.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -55,57 +51,56 @@ struct CellKind {
 };
 
 /// Fills out[i] for every cells[i]: from the store at `cache_dir` when a
-/// verified entry exists, otherwise by kind.simulate on `jobs` pool
-/// workers. An empty `cache_dir` opens no store. Fresh records are
-/// committed before returning. on_cell(i), if set, runs once per cell as
-/// soon as out[i] is final: on the calling thread for a hit, on a worker
-/// for a simulated cell.
+/// verified entry exists, otherwise by kind.simulate, committing the record
+/// to the store before the cell counts as done. An empty `cache_dir` opens
+/// no store; one that cannot be used throws std::system_error before any
+/// cell runs. Cells run on `jobs` workers (see parallel_for, which also
+/// says what an exception does). on_cell(i), if set, runs on the worker
+/// once out[i] is final.
 template <typename Config, typename Record>
 MemoStats memoize(const CellKind<Config, Record>& kind,
                   const std::vector<Config>& cells,
                   const std::string& cache_dir, unsigned jobs,
                   std::vector<Record>& out,
                   const std::function<void(std::size_t)>& on_cell = {}) {
-  MemoStats stats;
   out.resize(cells.size());
-  std::optional<ResultCache> cache;
-  if (!cache_dir.empty()) cache.emplace(CacheOptions{cache_dir});
+  std::optional<ResultCache> store;
+  if (!cache_dir.empty()) store.emplace(CacheOptions{cache_dir});
 
-  std::vector<std::string> keys(cache ? cells.size() : 0);
-  std::vector<std::size_t> missing;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (cache) {
-      keys[i] = ResultCache::make_key(kCodeVersion,
-                                      kind.canonical_cell(cells[i]));
-      if (auto entry = cache->get(keys[i])) {
-        if (entry->kind == kind.entry_kind) {
-          auto decoded = kind.decode(entry->body);
-          if (decoded.ok() &&
-              kind.fingerprint(decoded.value()) == entry->fingerprint) {
-            out[i] = std::move(decoded).value();
-            ++stats.hits;
-            if (on_cell) on_cell(i);
-            continue;
-          }
-        }
-        cache->invalidate(keys[i]);
+  const auto serve = [&](const std::string& key, Record& record) {
+    const auto entry = store->get(key);
+    if (!entry || entry->kind != kind.entry_kind) return false;
+    auto decoded = kind.decode(entry->body);
+    if (!decoded.ok() ||
+        kind.fingerprint(decoded.value()) != entry->fingerprint) {
+      return false;
+    }
+    record = std::move(decoded).value();
+    return true;
+  };
+
+  // char, not bool: vector<bool> packs bits, and workers write concurrently.
+  std::vector<char> hit(cells.size(), 0);
+  parallel_for(cells.size(), jobs, [&](std::size_t i) {
+    std::string key;
+    if (store) {
+      key = ResultCache::make_key(kCodeVersion, kind.canonical_cell(cells[i]));
+      hit[i] = serve(key, out[i]);
+    }
+    if (!hit[i]) {
+      out[i] = kind.simulate(cells[i]);
+      if (store) {
+        store->put(key, kind.entry_kind, kind.fingerprint(out[i]),
+                   kind.encode(out[i]));
       }
     }
-    missing.push_back(i);
-  }
-
-  parallel_for(missing.size(), jobs, [&](std::size_t m) {
-    out[missing[m]] = kind.simulate(cells[missing[m]]);
-    if (on_cell) on_cell(missing[m]);
+    if (on_cell) on_cell(i);
   });
-  stats.simulated = missing.size();
 
-  if (cache) {
-    for (const std::size_t i : missing) {
-      cache->put(keys[i], std::string(kind.entry_kind),
-                 kind.fingerprint(out[i]), kind.encode(out[i]));
-    }
-  }
+  MemoStats stats;
+  stats.hits =
+      static_cast<std::uint64_t>(std::count(hit.begin(), hit.end(), 1));
+  stats.simulated = cells.size() - stats.hits;
   return stats;
 }
 

@@ -1,9 +1,9 @@
 // Parallel execution of the paper's 10-trials-per-point methodology.
 //
 // Trials of one ExperimentConfig are independent simulations, so they shard
-// across a ThreadPool without touching the deliberately single-threaded
-// sim::Simulator. Determinism survives parallelism because of three
-// properties, each load-bearing:
+// across parallel_for's workers without touching the deliberately
+// single-threaded sim::Simulator. Determinism survives parallelism because
+// of three properties, each load-bearing:
 //   1. per-trial simulators — run_experiment() owns every piece of mutable
 //      simulation state, so workers share nothing;
 //   2. derived seeds — trial t's seed is derive_trial_seed(base, t), a pure

@@ -1,6 +1,6 @@
 // Unit tests for the retri_lint rule engine (tools/lint/rules.hpp):
 // pattern matching, scope allowlists, inline allow() escapes,
-// comment/string stripping, and baseline parse/format/diff.
+// comment/string stripping, and the order of scan results.
 //
 // Fixture sources are built as plain strings; the engine blanks
 // string-literal contents when scanning real files, so quoting banned
@@ -169,8 +169,7 @@ TEST(LintRules, DirectIoBannedInLibraryAllowedInCliScopes) {
   EXPECT_FALSE(has_violation(scan("bench/fig1.cpp", body), "no-direct-io"));
   EXPECT_FALSE(has_violation(scan("examples/quickstart.cpp", body),
                              "no-direct-io"));
-  EXPECT_FALSE(has_violation(scan("src/util/logging.cpp", body),
-                             "no-direct-io"));
+  EXPECT_TRUE(has_violation(scan("src/util/json.cpp", body), "no-direct-io"));
 }
 
 TEST(LintRules, ServeDaemonIoIsAnchorSanctionedNotPathExempt) {
@@ -392,53 +391,7 @@ TEST(LintScope, ScopePrefixesRestrictWhereARuleApplies) {
   EXPECT_TRUE(lint::rule_applies(*rand_rule, "bench/fig1.cpp"));
 }
 
-// --- baseline ---------------------------------------------------------------
-
-TEST(LintBaseline, ParseSkipsCommentsAndBlanks) {
-  const lint::Baseline b = lint::parse_baseline(
-      "# comment\n\nsrc/a.cpp:no-direct-io\n  src/b.cpp:no-raw-thread  \n");
-  EXPECT_EQ(b.entries.size(), 2u);
-  EXPECT_EQ(b.entries.count("src/a.cpp:no-direct-io"), 1u);
-  EXPECT_EQ(b.entries.count("src/b.cpp:no-raw-thread"), 1u);
-}
-
-TEST(LintBaseline, ApplySuppressesMatchesAndReportsStale) {
-  std::vector<lint::Violation> vs;
-  vs.push_back({"src/a.cpp", 3, "no-direct-io", "m", "e"});
-  vs.push_back({"src/a.cpp", 9, "no-direct-io", "m", "e"});  // same key
-  vs.push_back({"src/b.cpp", 1, "no-raw-thread", "m", "e"});
-
-  lint::Baseline baseline;
-  baseline.entries.insert("src/a.cpp:no-direct-io");
-  baseline.entries.insert("src/gone.cpp:no-direct-io");  // stale
-
-  std::vector<std::string> stale;
-  const auto rest = lint::apply_baseline(vs, baseline, &stale);
-  ASSERT_EQ(rest.size(), 1u);
-  EXPECT_EQ(rest[0].file, "src/b.cpp");
-  ASSERT_EQ(stale.size(), 1u);
-  EXPECT_EQ(stale[0], "src/gone.cpp:no-direct-io");
-}
-
-TEST(LintBaseline, FormatRoundTripsThroughParse) {
-  std::vector<lint::Violation> vs;
-  vs.push_back({"src/b.cpp", 7, "no-wall-clock", "m", "e"});
-  vs.push_back({"src/a.cpp", 3, "no-direct-io", "m", "e"});
-  vs.push_back({"src/a.cpp", 5, "no-direct-io", "m", "e"});  // dedupes
-
-  const std::string text = lint::format_baseline(vs);
-  const lint::Baseline parsed = lint::parse_baseline(text);
-  EXPECT_EQ(parsed.entries.size(), 2u);
-  EXPECT_EQ(parsed.entries.count("src/a.cpp:no-direct-io"), 1u);
-  EXPECT_EQ(parsed.entries.count("src/b.cpp:no-wall-clock"), 1u);
-
-  // Empty baseline (tier-1's configuration) suppresses nothing.
-  std::vector<std::string> stale;
-  EXPECT_EQ(lint::apply_baseline(vs, lint::Baseline{}, &stale).size(), 3u);
-  EXPECT_TRUE(stale.empty());
-}
-
-TEST(LintBaseline, ViolationsSortedByLineWithinFile) {
+TEST(LintRules, ViolationsSortedByLineWithinFile) {
   const auto vs = scan("src/core/x.cpp",
                        "void f() {\n"
                        "  int b = rand();\n"
@@ -585,21 +538,6 @@ TEST(LintConfigValidated, NonConfigStructsAreIgnored) {
                        "};\n"
                        "}  // namespace\n");
   EXPECT_FALSE(has_violation(vs, "config-has-validated"));
-}
-
-TEST(LintConfigValidated, BaselineSuppressesWhileRolloutPends) {
-  const auto vs = scan("src/net/thing.hpp",
-                       "#pragma once\n"
-                       "namespace retri::net {\n"
-                       "struct ThingConfig { int knob = 1; };\n"
-                       "}  // namespace\n");
-  ASSERT_TRUE(has_violation(vs, "config-has-validated"));
-  lint::Baseline baseline;
-  baseline.entries.insert("src/net/thing.hpp:config-has-validated");
-  std::vector<std::string> stale;
-  const auto remaining = lint::apply_baseline(vs, baseline, &stale);
-  EXPECT_FALSE(has_violation(remaining, "config-has-validated"));
-  EXPECT_TRUE(stale.empty());
 }
 
 }  // namespace

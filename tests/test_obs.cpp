@@ -1,5 +1,5 @@
 // Unit tests for the obs layer's recording primitives: MetricsRegistry
-// handle semantics (inert defaults, disabled mode, re-registration),
+// handle semantics (inert defaults, re-registration),
 // snapshot/accumulate algebra, and the SpanRecorder integrity contract
 // (double ends, finish(), parent-liveness audit).
 #include <gtest/gtest.h>
@@ -88,14 +88,6 @@ TEST(Metrics, KindMismatchThrows) {
   EXPECT_THROW(registry.gauge("x"), std::invalid_argument);
   registry.histogram("h", {1.0});
   EXPECT_THROW(registry.histogram("h", {2.0}), std::invalid_argument);
-}
-
-TEST(Metrics, DisabledRegistryHandsOutInertHandles) {
-  obs::MetricsRegistry registry = obs::MetricsRegistry::disabled();
-  obs::Counter counter = registry.counter("frames");
-  counter.inc(10);
-  EXPECT_EQ(counter.value(), 0u);
-  EXPECT_TRUE(registry.snapshot().entries.empty());
 }
 
 TEST(Metrics, AccumulateSumsCountersAndMaxesGauges) {

@@ -1,4 +1,4 @@
-// runner: thread pool, seed derivation, and the determinism contract —
+// runner: parallel_for, seed derivation, and the determinism contract —
 // TrialRunner produces bit-identical per-trial results for any worker
 // count, and TrialRunner::run_summary runs trial t at
 // derive_trial_seed(config.seed, t).
@@ -51,39 +51,11 @@ void expect_identical(const runner::ExperimentResult& a,
 }  // namespace
 
 TEST(ThreadPool, RunsEveryJobExactlyOnce) {
-  runner::ThreadPool pool(4);
   std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
+  runner::parallel_for(1000, 4, [&count](std::size_t) {
+    count.fetch_add(1, std::memory_order_relaxed);
+  });
   EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, ReusableAfterWaitIdle) {
-  runner::ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(ThreadPool, WaitIdlePropagatesFirstJobException) {
-  runner::ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The error is consumed; the pool remains usable.
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
-}
-
-TEST(ThreadPool, ClampsZeroThreadsToOne) {
-  runner::ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
 }
 
 TEST(ThreadPool, ParallelForFillsEverySlotOnceAtAnyJobCount) {
@@ -98,6 +70,17 @@ TEST(ThreadPool, ParallelForFillsEverySlotOnceAtAnyJobCount) {
                                       if (i == 1) throw std::runtime_error("boom");
                                     }),
                std::runtime_error);
+
+  // On threads, a throwing index stops nothing else: every other index
+  // still runs exactly once, and the exception surfaces after the join.
+  std::vector<int> slots(9, 0);
+  EXPECT_THROW(runner::parallel_for(slots.size(), 4,
+                                    [&slots](std::size_t i) {
+                                      slots[i] += 1;
+                                      if (i == 2) throw std::runtime_error("boom");
+                                    }),
+               std::runtime_error);
+  EXPECT_EQ(slots, std::vector<int>(9, 1));
 }
 
 TEST(Seeds, PureFunctionOfBaseAndIndex) {

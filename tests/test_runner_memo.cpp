@@ -4,22 +4,30 @@
 // its fingerprint label is invalidated and re-simulated, never served; and
 // growing a sweep's trial count simulates only the new trials. A chaos soak
 // given a store takes the same path and must match the soak without one.
+// On a toy cell kind: each cell is committed as it finishes, so a batch
+// that dies keeps every cell it finished.
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "runner/cache.hpp"
 #include "runner/chaos.hpp"
 #include "runner/codec.hpp"
+#include "runner/memo.hpp"
 #include "runner/result_sink.hpp"
 #include "runner/seeds.hpp"
 #include "runner/sweep.hpp"
 #include "sim/time.hpp"
+#include "util/result.hpp"
 
 namespace runner = retri::runner;
 namespace fs = std::filesystem;
@@ -66,6 +74,36 @@ std::map<std::string, std::string> store_files(const fs::path& dir) {
   }
   return files;
 }
+
+/// A toy cell: its record is value * 10, unless `fails` makes the
+/// simulation throw. The key covers only the value, so a failing cell and
+/// its retry share one key.
+struct ToyCell {
+  int value = 0;
+  bool fails = false;
+};
+
+retri::util::Result<int, std::string> decode_toy(std::string_view body) {
+  int value = 0;
+  const char* end = body.data() + body.size();
+  const auto parsed = std::from_chars(body.data(), end, value);
+  if (parsed.ec != std::errc{} || parsed.ptr != end) {
+    return std::string("bad toy body");
+  }
+  return value;
+}
+
+const runner::CellKind<ToyCell, int> kToyCell{
+    "toy-cell",
+    [](const ToyCell& cell) { return std::to_string(cell.value); },
+    [](const ToyCell& cell) {
+      if (cell.fails) throw std::runtime_error("toy simulation failed");
+      return cell.value * 10;
+    },
+    [](const int& record) { return std::to_string(record); },
+    decode_toy,
+    [](const int& record) { return "toy-" + std::to_string(record); },
+};
 
 class MemoTest : public ::testing::Test {
  protected:
@@ -220,4 +258,24 @@ TEST_F(MemoTest, CachedChaosSoakMatchesTheUncachedSoak) {
   EXPECT_EQ(warm.memo.hits, kSeeds);
   EXPECT_EQ(warm.memo.simulated, 0u);
   EXPECT_EQ(warm.records, expected);
+}
+
+TEST_F(MemoTest, ThrowingCellKeepsEveryCellFinishedBeforeIt) {
+  std::vector<ToyCell> cells(6);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    cells[i].value = static_cast<int>(i);
+  }
+  cells[3].fails = true;
+  std::vector<int> out;
+  EXPECT_THROW(runner::memoize(kToyCell, cells, store(), 1, out),
+               std::runtime_error);
+
+  // Inline, the batch stopped at cell 3; cells 0-2 were committed as each
+  // finished, so the retry serves them and simulates only 3-5.
+  cells[3].fails = false;
+  const runner::MemoStats retry =
+      runner::memoize(kToyCell, cells, store(), 1, out);
+  EXPECT_EQ(retry.hits, 3u);
+  EXPECT_EQ(retry.simulated, 3u);
+  EXPECT_EQ(out, (std::vector<int>{0, 10, 20, 30, 40, 50}));
 }

@@ -12,7 +12,8 @@
 // --cache DIR gives the soak a memo store (ChaosSoakOptions::cache_dir): a
 // re-run serves the seeds earlier runs simulated from disk and only
 // simulates the remainder. Cached records are fingerprint-verified on every
-// hit; output is bit-identical to an uncached soak.
+// hit; output is bit-identical to an uncached soak. A directory that cannot
+// be created or written exits 2 before any trial runs.
 //
 // Determinism contract: output and JSON artifact are pure functions of
 // (--seeds, --seconds, --senders, --bits, --seed); --jobs only shards
@@ -23,6 +24,7 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -191,8 +193,14 @@ int main(int argc, char** argv) {
     options.seeds = args.seeds;
     options.jobs = args.jobs;
     options.cache_dir = args.cache;
-    retri::runner::ChaosSoakResult soak =
-        retri::runner::run_chaos_soak(base, options);
+    retri::runner::ChaosSoakResult soak;
+    try {
+      soak = retri::runner::run_chaos_soak(base, options);
+    } catch (const std::system_error& e) {
+      // The store's directory is unusable: raised before any trial runs.
+      std::fprintf(stderr, "retri_chaos: %s\n", e.what());
+      return 2;
+    }
     records = std::move(soak.records);
     if (!args.cache.empty()) {
       std::printf("cache %s: %llu hits, %llu simulated\n", args.cache.c_str(),

@@ -10,14 +10,13 @@
 //   retri_lint --explain RULE                  # one rule, full rationale
 //   retri_lint --graph check                   # graph rules only
 //   retri_lint --graph dot                     # DOT of the module graph
-//   retri_lint --baseline FILE                 # suppress listed file:rule
-//   retri_lint --write-baseline FILE           # snapshot violations
 //   retri_lint --root R path/under/R.cpp ...   # restrict to given files
 //
 // Exit codes: 0 clean, 1 violations found, 2 usage/IO error. Wired into
-// tier-1 as the `lint_tree` ctest (all engines, empty baseline) and
-// `lint_graph` (--graph check). Graph rules need the whole tree, so they
-// run on full scans and under --graph, never on explicit file lists.
+// tier-1 as the `lint_tree` ctest (all engines), `lint_graph` (--graph
+// check) and `lint_graph_dot` (--graph dot against docs/include-graph.dot).
+// Graph rules need the whole tree, so they run on full scans and under
+// --graph, never on explicit file lists.
 //
 // This is a CLI: it owns its stdout/stderr, so direct printf is fine here
 // (and tools/ is outside the scanned set anyway).
@@ -40,8 +39,6 @@ namespace {
 
 struct Options {
   std::string root = ".";
-  std::string baseline_path;
-  std::string write_baseline_path;
   std::string explain_rule;
   std::string graph_mode;  // "", "check", or "dot"
   std::vector<std::string> files;  // explicit repo-relative files; empty = tree
@@ -62,8 +59,7 @@ bool has_scanned_extension(const fs::path& path) {
 
 int usage(std::FILE* stream) {
   std::fprintf(stream,
-               "usage: retri_lint [--root DIR] [--baseline FILE]\n"
-               "                  [--write-baseline FILE] [--list-rules]\n"
+               "usage: retri_lint [--root DIR] [--list-rules]\n"
                "                  [--explain RULE] [--graph check|dot]\n"
                "                  [--quiet] [FILE...]\n"
                "scans src/ bench/ tests/ examples/ under DIR (default .)\n"
@@ -81,10 +77,6 @@ bool parse_options(int argc, char** argv, Options& opts) {
     };
     if (arg == "--root") {
       if (!value(opts.root)) return false;
-    } else if (arg == "--baseline") {
-      if (!value(opts.baseline_path)) return false;
-    } else if (arg == "--write-baseline") {
-      if (!value(opts.write_baseline_path)) return false;
     } else if (arg == "--explain") {
       if (!value(opts.explain_rule)) return false;
     } else if (arg == "--graph") {
@@ -207,20 +199,6 @@ bool read_file(const fs::path& path, std::string& contents, std::string& error) 
   return true;
 }
 
-bool is_graph_rule_id(const std::string& id) {
-  for (const lint::Rule& rule : lint::default_rules()) {
-    if (rule.id == id) return rule.kind == lint::RuleKind::kGraphCheck;
-  }
-  return false;
-}
-
-/// Baseline entries are `<file>:<rule-id>`; the id is the suffix after the
-/// last ':'.
-std::string entry_rule_id(const std::string& entry) {
-  const auto colon = entry.rfind(':');
-  return colon == std::string::npos ? std::string() : entry.substr(colon + 1);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -255,16 +233,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "retri_lint: %s\n", error.c_str());
       return 2;
     }
-  }
-
-  lint::Baseline baseline;
-  if (!opts.baseline_path.empty()) {
-    std::string text;
-    if (!read_file(opts.baseline_path, text, error)) {
-      std::fprintf(stderr, "retri_lint: %s\n", error.c_str());
-      return 2;
-    }
-    baseline = lint::parse_baseline(text);
   }
 
   std::vector<lint::Violation> violations;
@@ -305,51 +273,6 @@ int main(int argc, char** argv) {
     violations.insert(violations.end(),
                       std::make_move_iterator(found.begin()),
                       std::make_move_iterator(found.end()));
-  }
-
-  if (!opts.write_baseline_path.empty()) {
-    std::ofstream out(opts.write_baseline_path, std::ios::trunc);
-    out << lint::format_baseline(violations);
-    if (!out.flush()) {
-      std::fprintf(stderr, "retri_lint: cannot write baseline %s\n",
-                   opts.write_baseline_path.c_str());
-      return 2;
-    }
-    std::printf("wrote %zu baseline entr%s to %s\n", violations.size(),
-                violations.size() == 1 ? "y" : "ies",
-                opts.write_baseline_path.c_str());
-    return 0;
-  }
-
-  // Restrict the baseline to what this invocation can actually re-check,
-  // so stale-entry reporting stays truthful: graph-only runs judge only
-  // graph-rule entries, explicit-file runs judge only the listed files.
-  if (graph_only || explicit_files) {
-    lint::Baseline restricted;
-    for (const std::string& entry : baseline.entries) {
-      if (graph_only && !is_graph_rule_id(entry_rule_id(entry))) continue;
-      if (explicit_files) {
-        // Graph rules never run on a partial tree, so their entries can't
-        // be judged here either way.
-        if (is_graph_rule_id(entry_rule_id(entry))) continue;
-        const bool listed = std::any_of(
-            files.begin(), files.end(), [&](const std::string& f) {
-              return entry.size() > f.size() && entry[f.size()] == ':' &&
-                     entry.compare(0, f.size(), f) == 0;
-            });
-        if (!listed) continue;
-      }
-      restricted.entries.insert(entry);
-    }
-    baseline = std::move(restricted);
-  }
-
-  std::vector<std::string> stale;
-  violations = lint::apply_baseline(std::move(violations), baseline, &stale);
-  for (const std::string& entry : stale) {
-    std::fprintf(stderr,
-                 "retri_lint: stale baseline entry (no longer matches): %s\n",
-                 entry.c_str());
   }
 
   for (const lint::Violation& v : violations) {

@@ -64,7 +64,7 @@ std::vector<Rule> make_default_rules() {
       {"src/runner/"},
       {},
       "raw threading outside src/runner voids the deterministic-sharding "
-      "guarantee; submit work to runner::ThreadPool",
+      "guarantee; shard work with runner::parallel_for",
       {}});
 
   rules.push_back(Rule{
@@ -175,12 +175,11 @@ std::vector<Rule> make_default_rules() {
       "no-direct-io",
       RuleKind::kBannedPattern,
       R"(\bstd::cout\b|\bstd::cerr\b|\bstd::clog\b|\bprintf\s*\(|\bfprintf\s*\(|\bputs\s*\(|\bfputs\s*\()",
-      // CLIs own their stdout/stderr; the logger implementation is the one
-      // library file allowed to touch stderr.
-      {"bench/", "examples/", "src/util/logging."},
+      // CLIs own their stdout/stderr; no library file touches them.
+      {"bench/", "examples/"},
       {},
-      "library/test code must log through util::Logger (RETRI_LOG) so "
-      "benches can silence it and tests can capture it",
+      "library/test code must not print: report through return values, "
+      "callbacks or obs metrics, and leave stdout/stderr to the CLIs",
       {}});
 
   rules.push_back(Rule{
@@ -417,56 +416,6 @@ std::vector<Violation> scan_file(std::string_view rel_path,
               return a.rule_id < b.rule_id;
             });
   return violations;
-}
-
-Baseline parse_baseline(std::string_view text) {
-  Baseline baseline;
-  while (!text.empty()) {
-    const auto nl = text.find('\n');
-    std::string_view line = trim(text.substr(0, nl));
-    if (!line.empty() && line.front() != '#') {
-      baseline.entries.insert(std::string(line));
-    }
-    if (nl == std::string_view::npos) break;
-    text.remove_prefix(nl + 1);
-  }
-  return baseline;
-}
-
-std::string format_baseline(const std::vector<Violation>& violations) {
-  std::set<std::string> keys;
-  for (const Violation& v : violations) keys.insert(Baseline::key(v));
-  std::string out =
-      "# retri_lint baseline: <file>:<rule-id> entries suppressed by "
-      "--baseline.\n# Tier-1 runs with an empty baseline; entries here are "
-      "temporary rollout debt.\n";
-  for (const std::string& key : keys) {
-    out += key;
-    out += '\n';
-  }
-  return out;
-}
-
-std::vector<Violation> apply_baseline(std::vector<Violation> violations,
-                                      const Baseline& baseline,
-                                      std::vector<std::string>* stale) {
-  std::set<std::string> used;
-  std::vector<Violation> remaining;
-  for (Violation& v : violations) {
-    const std::string key = Baseline::key(v);
-    if (baseline.entries.count(key) != 0) {
-      used.insert(key);
-    } else {
-      remaining.push_back(std::move(v));
-    }
-  }
-  if (stale != nullptr) {
-    stale->clear();
-    for (const std::string& entry : baseline.entries) {
-      if (used.count(entry) == 0) stale->push_back(entry);
-    }
-  }
-  return remaining;
 }
 
 }  // namespace retri::lint

@@ -3,14 +3,14 @@
 // The runner's bit-identical-results guarantee (DESIGN.md §5b) rests on
 // conventions the compiler cannot check: every source of randomness flows
 // through the seeded generators in src/util/random.hpp, every thread is
-// owned by runner::ThreadPool, and — once trials shard internally — no
+// started by runner::parallel_for, and — once trials shard internally — no
 // state hides at namespace scope and no module reaches up the layer stack.
 // This engine turns those conventions into machine-checked invariants:
 // rules are data (pattern, scope allowlist, message), the scanner reports
 // file:line diagnostics, and tier-1 ctest runs the whole tree through it
 // (see tools/lint/retri_lint.cpp and the lint_tree/lint_graph tests).
 //
-// Three engines share the Rule/Violation/baseline/escape machinery
+// Three engines share the Rule/Violation/escape machinery
 // (DESIGN.md §5h):
 //   line   — regex over comment-stripped lines; right when the banned
 //            construct is one spelling at every call site (std::cout, ...).
@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstddef>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,7 +51,7 @@ std::string_view engine_name(RuleKind kind);
 /// One invariant. Rules are plain data so the table in default_rules() reads
 /// like a policy document and tests can build ad-hoc rule sets.
 struct Rule {
-  std::string id;       // stable slug used in diagnostics, escapes, baselines
+  std::string id;       // stable slug used in diagnostics and escapes
   RuleKind kind = RuleKind::kBannedPattern;
   std::string pattern;  // ECMAScript regex (case-sensitive)
   // Repo-relative path prefixes (forward slashes) where this rule does NOT
@@ -122,31 +121,5 @@ std::vector<Violation> run_token_check(std::string_view rel_path,
 std::vector<Violation> scan_file(std::string_view rel_path,
                                  std::string_view contents,
                                  const std::vector<Rule>& rules);
-
-/// Baseline: suppression list so a new rule can land before the tree is
-/// clean under it. Entries are `<file>:<rule-id>` (no line numbers — lines
-/// drift on unrelated edits; a file is either excused from a rule or not).
-/// Tier-1 runs with an EMPTY baseline; the mechanism exists for future rule
-/// rollouts.
-struct Baseline {
-  std::set<std::string> entries;
-
-  static std::string key(const Violation& v) { return v.file + ":" + v.rule_id; }
-};
-
-/// Parses baseline text: one `<file>:<rule-id>` per line, `#` comments and
-/// blank lines ignored.
-Baseline parse_baseline(std::string_view text);
-
-/// Formats violations as baseline text (sorted, deduplicated) suitable for
-/// --write-baseline.
-std::string format_baseline(const std::vector<Violation>& violations);
-
-/// Removes violations covered by `baseline`. Baseline entries that matched
-/// nothing are reported through `stale` (sorted) so dead suppressions are
-/// visible and can be deleted.
-std::vector<Violation> apply_baseline(std::vector<Violation> violations,
-                                      const Baseline& baseline,
-                                      std::vector<std::string>* stale);
 
 }  // namespace retri::lint
