@@ -75,8 +75,7 @@ AffDriver::AffDriver(radio::Radio& radio, core::IdSelector& selector,
                     node_prefix(radio.node()) + "truth.", radio.node())
               : nullptr),
       density_(core::make_density_model(config.density_model)),
-      node_uid_(node_uid),
-      alive_(std::make_shared<bool>(true)) {
+      node_uid_(node_uid) {
   const std::string prefix = node_prefix(radio_.node());
   counters_.packets_sent = metrics_->counter(prefix + "packets_sent");
   counters_.fragments_sent = metrics_->counter(prefix + "fragments_sent");
@@ -98,6 +97,9 @@ AffDriver::AffDriver(radio::Radio& radio, core::IdSelector& selector,
   selector_prefix += std::to_string(radio_.node());
   selector_prefix += ".selector.";
   selector_.bind_metrics(*metrics_, selector_prefix);
+  // A saturating sender arms its next packet's drain timer before the
+  // previous one fires, so two cells cover it without growing.
+  drain_timers_.reserve(2);
 
   radio_.set_receive_callback([this](sim::NodeId from, const util::Bytes& frame) {
     on_frame(from, frame);
@@ -136,7 +138,10 @@ AffDriverStatsSnapshot AffDriver::stats() const noexcept {
   return s;
 }
 
-AffDriver::~AffDriver() { *alive_ = false; }
+AffDriver::~AffDriver() {
+  expiry_timer_.cancel();
+  for (DrainTimer& timer : drain_timers_) timer.handle.cancel();
+}
 
 void AffDriver::ensure_expiry_timer() {
   if (expiry_armed_) return;
@@ -147,10 +152,7 @@ void AffDriver::ensure_expiry_timer() {
   }
   expiry_armed_ = true;
   const sim::Duration period = config_.reassembly_timeout / 2;
-  std::weak_ptr<bool> alive = alive_;
-  radio_.simulator().schedule_after(period, [this, alive]() {
-    const auto flag = alive.lock();
-    if (!flag || !*flag) return;
+  expiry_timer_ = radio_.simulator().schedule_after(period, [this]() {
     expiry_armed_ = false;
     reassembler_.expire(radio_.simulator().now());
     if (truth_reassembler_ != nullptr) {
@@ -224,16 +226,23 @@ util::Result<core::TransactionId, SendError> AffDriver::send_packet(
       radio_.airtime(radio_.config().max_frame_bytes) +
       radio_.config().interframe_gap + radio_.config().max_backoff;
   const sim::Duration drain = per_frame * static_cast<std::int64_t>(backlog + nframes);
-  std::weak_ptr<bool> alive = alive_;
-  radio_.simulator().schedule_after(drain, [this, alive, span]() {
-    const auto flag = alive.lock();
-    if (!flag || !*flag) return;
-    if (spans_ != nullptr) {
-      spans_->end(span, radio_.simulator().now(), "drained");
-    }
-    density_->on_end();
-    push_density_to_selector();
-  });
+  std::uint32_t cell = drain_free_;
+  if (cell != kNoDrainTimer) {
+    drain_free_ = drain_timers_[cell].next_free;
+  } else {
+    cell = static_cast<std::uint32_t>(drain_timers_.size());
+    drain_timers_.emplace_back();
+  }
+  drain_timers_[cell].handle = radio_.simulator().schedule_after(
+      drain, [this, span, cell]() {
+        drain_timers_[cell].next_free = drain_free_;
+        drain_free_ = cell;
+        if (spans_ != nullptr) {
+          spans_->end(span, radio_.simulator().now(), "drained");
+        }
+        density_->on_end();
+        push_density_to_selector();
+      });
 
   return id;
 }

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "aff/fragmenter.hpp"
 #include "aff/reassembler.hpp"
@@ -178,11 +179,22 @@ class AffDriver {
   PacketHandler on_packet_;
   PacketHandler on_truth_packet_;
   Counters counters_;
+  // The driver's timers, cancelled by ~AffDriver so none fires into a
+  // destroyed driver: the expiry timer, and one drain timer per sent
+  // packet whose frames are still draining. Drain timers live in cells
+  // threaded on an intrusive free list: a timer frees its cell as it fires
+  // and the next packet reuses it, so the cells stop growing at the most
+  // packets ever draining at once.
+  struct DrainTimer {
+    sim::EventHandle handle;
+    std::uint32_t next_free = 0;
+  };
+  static constexpr std::uint32_t kNoDrainTimer = ~std::uint32_t{0};
   // Set while an expiry timer is scheduled; the timer clears it on firing.
   bool expiry_armed_ = false;
-  // Liveness flag captured (weakly) by timer callbacks so events that fire
-  // after the driver is destroyed become no-ops instead of dangling.
-  std::shared_ptr<bool> alive_;
+  sim::EventHandle expiry_timer_;
+  std::vector<DrainTimer> drain_timers_;
+  std::uint32_t drain_free_ = kNoDrainTimer;
 };
 
 }  // namespace retri::aff

@@ -165,9 +165,6 @@ Reassembler::Slot Reassembler::open(std::uint64_t key, sim::TimePoint now) {
   }
   Entry& e = slots_[slot];
   e.key = key;
-  e.total_len = 0;
-  e.checksum = 0;
-  e.covered = 0;
   e.span = obs::SpanId::none();
   lru_append(slot);
   index_insert(slot);
@@ -202,9 +199,8 @@ void Reassembler::close(Slot slot, CloseReason reason, sim::TimePoint now) {
   }
   lru_unlink(slot);
   index_erase(key);
-  // clear() keeps capacity: the next entry in this slot reuses the buffers.
-  e.bytes.clear();
-  e.have.clear();
+  // The buffers keep their capacity: the next intro in this slot resizes
+  // them in place.
   e.next = free_head_;
   free_head_ = slot;
   --live_;
@@ -216,6 +212,7 @@ void Reassembler::write_bytes(Entry& entry, std::size_t offset,
                               util::BytesView payload) {
   const std::size_t end = offset + payload.size();
   if (entry.bytes.size() < end) {
+    // Past the announced length: a longer packet collided under this key.
     entry.bytes.resize(end, 0);
     entry.have.resize((end + 63) / 64, 0);
   }
@@ -279,18 +276,22 @@ void Reassembler::on_intro(std::uint64_t key, std::uint16_t total_len,
   touch(slot, now);
   Entry& entry = slots_[slot];
   fragment_instant("frag_intro", entry, now, 0);
-  if (!fresh && (entry.total_len != total_len || entry.checksum != checksum)) {
-    // A second, different introduction under the same key. Either an
-    // identifier collision between two *concurrent* packets, or ordinary
-    // sequential reuse of the identifier (a new transaction). The driver
-    // cannot tell which, so it adopts the new announcement and restarts
-    // assembly: concurrent colliders still interleave fragments into the
-    // fresh entry and die at the checksum, while sequential reuse — the
-    // common case under small id spaces — starts clean instead of
-    // inheriting a dead packet's bytes.
-    counters_.conflicting_writes.inc();
-    entry.bytes.clear();
-    entry.have.clear();
+  const bool restart =
+      !fresh && (entry.total_len != total_len || entry.checksum != checksum);
+  // A second, different introduction under the same key. Either an
+  // identifier collision between two *concurrent* packets, or ordinary
+  // sequential reuse of the identifier (a new transaction). The driver
+  // cannot tell which, so it adopts the new announcement and restarts
+  // assembly: concurrent colliders still interleave fragments into the
+  // fresh entry and die at the checksum, while sequential reuse — the
+  // common case under small id spaces — starts clean instead of
+  // inheriting a dead packet's bytes.
+  if (restart) counters_.conflicting_writes.inc();
+  if (fresh || restart) {
+    // Size the entry once, for the announced packet; assign() reuses the
+    // slot's capacity and zero-fills, so unwritten bytes read as zero.
+    entry.bytes.assign(total_len, 0);
+    entry.have.assign((std::size_t{total_len} + 63) / 64, 0);
     entry.covered = 0;
   }
   entry.total_len = total_len;

@@ -14,8 +14,9 @@
 //
 // Every frame a node hears passes through here, so steady-state reassembly
 // allocates nothing: entries live in a slot slab that grows on demand up to
-// max_entries and recycles closed slots with their buffers' capacity; a
-// key finds its slot through an open-addressed index; coverage is a bitmap
+// max_entries and recycles closed slots with their buffers' capacity; an
+// entry's buffers are sized once, from its intro's announced length; a key
+// finds its slot through an open-addressed index; coverage is a bitmap
 // checked 64 bytes per word; and the LRU list is threaded through the
 // slots. Delivery hands the handler a view into the slot's buffer.
 #pragma once
@@ -154,10 +155,12 @@ class Reassembler {
     std::uint64_t key = 0;
     std::uint16_t total_len = 0;
     std::uint32_t checksum = 0;
-    /// Packet bytes; size() is the furthest extent written. Grown with
-    /// resize(), so bytes never written read as zero.
+    /// Packet bytes, sized to total_len and zero-filled by the intro that
+    /// opened or restarted the entry, so bytes no fragment wrote read as
+    /// zero. Only a write past that size (a longer colliding packet) grows
+    /// it, zero-filling the gap the same way.
     util::Bytes bytes;
-    /// Coverage bitmap, one bit per byte of `bytes`; bits past the extent
+    /// Coverage bitmap, one bit per byte of `bytes`; bits past bytes.size()
     /// are always clear.
     std::vector<std::uint64_t> have;
     std::size_t covered = 0;  // set bits in `have`, past total_len included

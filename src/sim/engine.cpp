@@ -5,12 +5,12 @@
 namespace retri::sim {
 
 void EventHandle::cancel() noexcept {
-  if (slab_ == nullptr || !slab_->live(slot_, gen_)) return;
-  slab_->release(slot_);
+  if (slab_ == nullptr || !slab_->live(key_)) return;
+  slab_->release(detail::key_slot(key_));
 }
 
 bool EventHandle::pending() const noexcept {
-  return slab_ != nullptr && slab_->live(slot_, gen_);
+  return slab_ != nullptr && slab_->live(key_);
 }
 
 Simulator::Simulator() : slab_(new detail::EventSlab) {}
@@ -28,11 +28,11 @@ Simulator::~Simulator() {
 
 EventHandle Simulator::schedule_at(TimePoint t, EventFn fn) {
   assert(t >= now_ && "cannot schedule into the past");
-  const std::uint32_t slot = slab_->acquire();
-  detail::EventSlot& s = slab_->slots[slot];
-  s.fn = std::move(fn);
-  queue_.push(detail::QueueEntry{t, next_seq_++, slot, s.gen});
-  return EventHandle{slab_, slot, s.gen};
+  const std::uint64_t key = slab_->acquire(next_seq_);
+  ++next_seq_;
+  slab_->slots[detail::key_slot(key)].fn = std::move(fn);
+  queue_.push(detail::QueueEntry{t, key});
+  return EventHandle{slab_, key};
 }
 
 EventHandle Simulator::schedule_after(Duration delay, EventFn fn) {
@@ -42,7 +42,7 @@ EventHandle Simulator::schedule_after(Duration delay, EventFn fn) {
 
 const detail::QueueEntry* Simulator::skip_stale() {
   const detail::QueueEntry* top = queue_.peek();
-  while (top != nullptr && !slab_->live(top->slot, top->gen)) {
+  while (top != nullptr && !slab_->live(top->key)) {
     queue_.pop();
     top = queue_.peek();
   }
@@ -62,8 +62,9 @@ void Simulator::fire_front() {
   // Move the callable out and recycle the slot before firing: the callback
   // may schedule new events (growing the slab) or cancel its own handle —
   // the released slot makes both safe.
-  EventFn fn = std::move(slab_->slots[top.slot].fn);
-  slab_->release(top.slot);
+  const std::uint32_t slot = detail::key_slot(top.key);
+  EventFn fn = std::move(slab_->slots[slot].fn);
+  slab_->release(slot);
   fn();
 }
 

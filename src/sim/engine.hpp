@@ -8,12 +8,12 @@
 //
 // The hot path is allocation-free in steady state (DESIGN.md §5e): event
 // records live in a slab recycled through a free list, cancellation is a
-// generation-counter check instead of shared ownership, and the callable is
-// stored in a small-buffer-optimized EventFn whose inline storage covers
-// every closure the simulation schedules (heap fallback for oversized
-// captures). After warmup, schedule → fire → recycle touches no allocator.
+// key check instead of shared ownership, and the callable is stored in a
+// small-buffer-optimized EventFn whose inline storage covers every closure
+// the simulation schedules (heap fallback for oversized captures). After
+// warmup, schedule → fire → recycle touches no allocator.
 //
-// Event ordering runs on a 4-ary min-heap of small POD entries (DESIGN.md
+// Event ordering runs on a 4-ary min-heap of 16-byte entries (DESIGN.md
 // §5j). The pop order is the exact global (time, seq) minimum, so golden
 // fingerprints and jobs-invariance do not depend on the data structure.
 #pragma once
@@ -21,7 +21,9 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -35,11 +37,14 @@ namespace retri::sim {
 /// Replaces std::function on the engine hot path: closures whose captures
 /// fit kInlineBytes (and are nothrow-movable, so slab growth can relocate
 /// them) are stored inline in the event slot; anything larger falls back to
-/// one heap allocation. The budget is sized for the biggest closure the
-/// simulation core schedules — BroadcastMedium's delivery closure (~40
-/// bytes: medium pointer, batch index, sender id, SharedBytes, two
-/// timestamps) — with headroom; tests assert representative captures stay
-/// inline (test_engine.cpp, test_alloc_hook.cpp).
+/// one heap allocation. The closures a trial schedules per frame capture a
+/// pointer and an index or two (the medium's delivery closure is `[this,
+/// batch]`), so they are trivially copyable: moving one copies the inline
+/// bytes and destroying one does nothing, with no indirect call. The budget
+/// leaves headroom over the biggest closures the simulation schedules (32
+/// bytes: a pointer, a liveness flag and an index in fault::ChurnSchedule);
+/// tests assert representative captures stay inline (test_engine.cpp,
+/// test_event_queue.cpp).
 class EventFn {
  public:
   static constexpr std::size_t kInlineBytes = 64;
@@ -90,29 +95,38 @@ class EventFn {
   /// Destroys the stored callable (no-op when empty).
   void reset() noexcept {
     if (ops_ != nullptr) {
-      ops_->destroy(storage());
+      if (ops_->destroy != nullptr) ops_->destroy(storage());
       ops_ = nullptr;
     }
   }
 
  private:
+  /// The one relocation rule: what the storage holds (the capture inline,
+  /// or the pointer to a heap capture) is relocated by copying its bytes
+  /// when it is trivially copyable, which also means destroying it does
+  /// nothing; `relocate` and `destroy` are then null.
   struct Ops {
     void (*invoke)(void*);
-    // Move-constructs dst from src, then destroys src's value.
+    // Move-constructs dst from src, then destroys src's value; null when
+    // the bytes are copied instead.
     void (*relocate)(void* dst, void* src) noexcept;
+    // Null when destroying the stored value does nothing.
     void (*destroy)(void*) noexcept;
     bool heap;
   };
 
   template <typename Fn>
   static const Ops* inline_ops() noexcept {
+    constexpr bool bytewise = std::is_trivially_copyable_v<Fn>;
     static constexpr Ops ops{
         [](void* p) { (*static_cast<Fn*>(p))(); },
-        [](void* dst, void* src) noexcept {
-          ::new (dst) Fn(std::move(*static_cast<Fn*>(src)));
-          static_cast<Fn*>(src)->~Fn();
-        },
-        [](void* p) noexcept { static_cast<Fn*>(p)->~Fn(); },
+        bytewise ? nullptr
+                 : +[](void* dst, void* src) noexcept {
+                     ::new (dst) Fn(std::move(*static_cast<Fn*>(src)));
+                     static_cast<Fn*>(src)->~Fn();
+                   },
+        bytewise ? nullptr
+                 : +[](void* p) noexcept { static_cast<Fn*>(p)->~Fn(); },
         false};
     return &ops;
   }
@@ -121,9 +135,7 @@ class EventFn {
   static const Ops* heap_ops() noexcept {
     static constexpr Ops ops{
         [](void* p) { (**static_cast<Fn**>(p))(); },
-        [](void* dst, void* src) noexcept {
-          ::new (dst) Fn*(*static_cast<Fn**>(src));
-        },
+        nullptr,
         [](void* p) noexcept { delete *static_cast<Fn**>(p); },
         true};
     return &ops;
@@ -131,7 +143,11 @@ class EventFn {
 
   void move_from(EventFn& other) noexcept {
     if (other.ops_ != nullptr) {
-      other.ops_->relocate(storage(), other.storage());
+      if (other.ops_->relocate != nullptr) {
+        other.ops_->relocate(storage(), other.storage());
+      } else {
+        std::memcpy(storage_, other.storage_, kInlineBytes);
+      }
       ops_ = other.ops_;
       other.ops_ = nullptr;
     }
@@ -147,13 +163,44 @@ namespace detail {
 
 inline constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
-/// One slab slot: the callable plus the generation counter that makes
-/// recycled slots safe. `gen` is bumped exactly once per release (fire or
-/// cancel), so a handle or queue entry holding the generation it observed
-/// at schedule time can tell "still the same event" from "slot reused".
+/// An event's key packs its scheduling sequence number above its slab slot:
+/// `seq << kSlotBits | slot`. seq is unique, so ordering entries by
+/// (t, key) is ordering them by (t, seq), and the key also names the one
+/// event a slot or handle refers to. The all-ones slot field is reserved,
+/// so the all-ones key is never live and marks a free slot.
+inline constexpr unsigned kSlotBits = 24;
+inline constexpr std::uint32_t kSlotLimit = (1u << kSlotBits) - 1;
+inline constexpr std::uint64_t kSeqLimit = std::uint64_t{1} << (64 - kSlotBits);
+inline constexpr std::uint64_t kDeadKey = ~std::uint64_t{0};
+
+/// The key of event `seq` in `slot`. Throws std::length_error, rather than
+/// wrap, when seq >= kSeqLimit (2^40) or slot >= kSlotLimit (2^24 - 1).
+inline std::uint64_t pack_key(std::uint64_t seq, std::uint32_t slot) {
+  if (seq >= kSeqLimit) {
+    throw std::length_error("sim::Simulator: more than 2^40 events scheduled");
+  }
+  if (slot >= kSlotLimit) {
+    throw std::length_error(
+        "sim::Simulator: more than 2^24 - 1 events pending at once");
+  }
+  return seq << kSlotBits | slot;
+}
+
+inline constexpr std::uint32_t key_slot(std::uint64_t key) noexcept {
+  return static_cast<std::uint32_t>(key) & ((1u << kSlotBits) - 1);
+}
+
+inline constexpr std::uint64_t key_seq(std::uint64_t key) noexcept {
+  return key >> kSlotBits;
+}
+
+/// One slab slot: the callable plus the key of the event it holds, or
+/// kDeadKey while free. A handle or queue entry holding the key it was
+/// issued can tell "still the same event" from "slot released or reused",
+/// because the next occupant's key carries a different seq.
 struct EventSlot {
   EventFn fn;
-  std::uint64_t gen = 0;
+  std::uint64_t key = kDeadKey;
   std::uint32_t next_free = kNoSlot;
 };
 
@@ -168,14 +215,21 @@ struct EventSlab {
   // Simulator and its handles belong to one thread.
   std::size_t refs = 1;
 
-  std::uint32_t acquire() {
-    if (free_head != kNoSlot) {
-      const std::uint32_t slot = free_head;
+  /// Takes a free slot for event `seq` (growing the slab when none is
+  /// free), stores the event's key there and returns it. Throws as
+  /// pack_key does, before anything changes.
+  std::uint64_t acquire(std::uint64_t seq) {
+    const bool reuse = free_head != kNoSlot;
+    const std::uint32_t slot =
+        reuse ? free_head : static_cast<std::uint32_t>(slots.size());
+    const std::uint64_t key = pack_key(seq, slot);
+    if (reuse) {
       free_head = slots[slot].next_free;
-      return slot;
+    } else {
+      slots.emplace_back();
     }
-    slots.emplace_back();
-    return static_cast<std::uint32_t>(slots.size() - 1);
+    slots[slot].key = key;
+    return key;
   }
 
   /// Destroys the slot's callable, invalidates outstanding handles and
@@ -183,13 +237,14 @@ struct EventSlab {
   void release(std::uint32_t slot) noexcept {
     EventSlot& s = slots[slot];
     s.fn.reset();
-    ++s.gen;
+    s.key = kDeadKey;
     s.next_free = free_head;
     free_head = slot;
   }
 
-  bool live(std::uint32_t slot, std::uint64_t gen) const noexcept {
-    return slot < slots.size() && slots[slot].gen == gen;
+  bool live(std::uint64_t key) const noexcept {
+    const std::uint32_t slot = key_slot(key);
+    return slot < slots.size() && slots[slot].key == key;
   }
 };
 
@@ -197,22 +252,21 @@ inline void unref(EventSlab* slab) noexcept {
   if (--slab->refs == 0) delete slab;
 }
 
-/// Queue entries are 32-byte PODs; the callable stays in the slab so queue
-/// reordering never touches it.
+/// Queue entries are 16-byte PODs, so a heap node's four children are 64
+/// contiguous bytes, one cache line's worth; the callable stays in the slab
+/// so queue reordering never touches it.
 struct QueueEntry {
   TimePoint t;
-  std::uint64_t seq;
-  std::uint32_t slot;
-  std::uint64_t gen;
+  std::uint64_t key;
 };
 
 /// The engine's total event order: earliest time first, scheduling order
-/// (seq) within a timestamp. seq is unique, so this is a strict total order
-/// — any correct priority queue pops the exact same sequence, which is why
-/// the choice of queue cannot move a fingerprint.
+/// (the key's seq) within a timestamp. seq is unique, so this is a strict
+/// total order — any correct priority queue pops the exact same sequence,
+/// which is why the choice of queue cannot move a fingerprint.
 inline bool entry_less(const QueueEntry& a, const QueueEntry& b) noexcept {
   if (a.t != b.t) return a.t < b.t;
-  return a.seq < b.seq;
+  return a.key < b.key;
 }
 
 /// Implicit 4-ary min-heap over QueueEntry in entry_less order (DESIGN.md
@@ -279,27 +333,24 @@ class EventHeap {
 /// Cancellation handle for a scheduled event. Default-constructed handles
 /// are inert. Cancelling an already-fired or already-cancelled event is a
 /// no-op, so timers can be cancelled unconditionally in destructors. A
-/// handle is a (slab, slot, generation) triple: once the event fires or is
-/// cancelled the slot's generation moves on, and the handle — including one
-/// kept across slab reuse of the same slot — can never affect a later event.
-/// The handle holds a reference on the slab, so one that outlives its
-/// Simulator (a copy or a move of it too) stays inert instead of dangling.
-/// Like the Simulator, a handle belongs to one thread.
+/// handle is a (slab, key) pair, the key carrying the slot: once the event
+/// fires or is cancelled its slot no longer holds that key, and the handle
+/// — including one kept across slab reuse of the same slot — can never
+/// affect a later event. The handle holds a reference on the slab, so one
+/// that outlives its Simulator (a copy or a move of it too) stays inert
+/// instead of dangling. Like the Simulator, a handle belongs to one thread.
 class EventHandle {
  public:
   EventHandle() noexcept = default;
   EventHandle(const EventHandle& other) noexcept
-      : slab_(other.slab_), slot_(other.slot_), gen_(other.gen_) {
+      : slab_(other.slab_), key_(other.key_) {
     if (slab_ != nullptr) ++slab_->refs;
   }
   EventHandle(EventHandle&& other) noexcept
-      : slab_(std::exchange(other.slab_, nullptr)),
-        slot_(other.slot_),
-        gen_(other.gen_) {}
+      : slab_(std::exchange(other.slab_, nullptr)), key_(other.key_) {}
   EventHandle& operator=(EventHandle other) noexcept {
     std::swap(slab_, other.slab_);
-    slot_ = other.slot_;
-    gen_ = other.gen_;
+    key_ = other.key_;
     return *this;
   }
   ~EventHandle() {
@@ -314,15 +365,13 @@ class EventHandle {
 
  private:
   friend class Simulator;
-  EventHandle(detail::EventSlab* slab, std::uint32_t slot,
-              std::uint64_t gen) noexcept
-      : slab_(slab), slot_(slot), gen_(gen) {
+  EventHandle(detail::EventSlab* slab, std::uint64_t key) noexcept
+      : slab_(slab), key_(key) {
     ++slab_->refs;
   }
 
   detail::EventSlab* slab_ = nullptr;
-  std::uint32_t slot_ = detail::kNoSlot;
-  std::uint64_t gen_ = 0;
+  std::uint64_t key_ = detail::kDeadKey;
 };
 
 class Simulator {
@@ -336,6 +385,8 @@ class Simulator {
   TimePoint now() const noexcept { return now_; }
 
   /// Schedules `fn` to run at absolute time `t`. `t` must be >= now().
+  /// Throws std::length_error (scheduling nothing) past 2^40 events in
+  /// the Simulator's life or 2^24 - 1 pending at once.
   EventHandle schedule_at(TimePoint t, EventFn fn);
 
   /// Schedules `fn` to run `delay` after now(). `delay` must be >= 0.
@@ -358,8 +409,9 @@ class Simulator {
   std::uint64_t events_fired() const noexcept { return fired_; }
 
  private:
-  /// Pops entries whose slot generation moved on (cancelled events) off the
-  /// queue head, then returns the live minimum (nullptr when drained).
+  /// Pops entries whose slot no longer holds their key (cancelled events)
+  /// off the queue head, then returns the live minimum (nullptr when
+  /// drained).
   const detail::QueueEntry* skip_stale();
 
   /// Pops and fires the live minimum skip_stale() just returned.

@@ -177,19 +177,19 @@ void BroadcastMedium::transmit(NodeId from, util::BytesView frame,
   }
   tx_busy_until_[from] = std::max(tx_busy_until_[from], end);
 
-  // One pooled buffer for the whole broadcast: the delivery batch holds a
-  // single reference on it instead of one vector copy (or closure) per
-  // listener.
-  util::SharedBytes payload = payload_pool_.copy_of(frame);
-
   // Snapshot the audience into a pooled batch and schedule ONE delivery
   // event spanning it, instead of one closure per listener. Counters, rx
   // bookkeeping, and the audience copy happen now (transmit time), exactly
   // as the per-listener design did; the loss checks run per-listener
-  // inside the batch event in the same order.
+  // inside the batch event in the same order. The batch holds a single
+  // reference on one pooled copy of the frame for the whole broadcast.
   const std::vector<NodeId>& audience = topology_.audience(from);
   const std::uint32_t batch = acquire_batch();
   DeliveryBatch& b = batches_[batch];
+  b.payload = payload_pool_.copy_of(frame);
+  b.start = start;
+  b.end = end;
+  b.from = from;
   b.listeners.assign(audience.begin(), audience.end());
   counters_.deliveries_attempted.inc(b.listeners.size());
 
@@ -222,18 +222,21 @@ void BroadcastMedium::transmit(NodeId from, util::BytesView frame,
   }
 
   sim_.schedule_at(end + config_.propagation_delay,
-                   [this, batch, from, payload = std::move(payload), start,
-                    end]() { on_batch(batch, from, payload, start, end); });
+                   [this, batch]() { on_batch(batch); });
 }
 
-void BroadcastMedium::on_batch(std::uint32_t batch, NodeId from,
-                               const util::SharedBytes& payload,
-                               TimePoint start, TimePoint end) {
+void BroadcastMedium::on_batch(std::uint32_t batch) {
   // Handlers may transmit re-entrantly, growing batches_ and the reception
   // pool mid-loop — so re-index batches_[batch] on every access instead of
-  // caching a reference. This batch's slot itself is safe: it is not on
-  // the free list until release_batch below.
-  const std::size_t n = batches_[batch].listeners.size();
+  // caching a reference, and take the broadcast's fields out first. This
+  // batch's slot itself is safe: it is not on the free list until
+  // release_batch below.
+  DeliveryBatch& b = batches_[batch];
+  const util::SharedBytes payload = std::move(b.payload);
+  const NodeId from = b.from;
+  const TimePoint start = b.start;
+  const TimePoint end = b.end;
+  const std::size_t n = b.listeners.size();
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId listener = batches_[batch].listeners[i];
     const std::uint32_t rx_slot = batches_[batch].rx_slots.empty()

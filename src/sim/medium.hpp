@@ -164,15 +164,20 @@ class BroadcastMedium {
     std::size_t head = 0;
   };
 
-  /// One broadcast's delivery work list: the audience snapshot taken at
-  /// transmit time plus each listener's reception slot. A single delivery
-  /// event carries the batch index and walks the whole span — one event
-  /// per transmit instead of one per listener. Batches are pooled and
-  /// recycled through a free list; the vectors keep their capacity, so a
-  /// steady-state transmit allocates nothing beyond the payload buffer.
+  /// One broadcast, as its delivery event needs it: the sender, the
+  /// payload, the airtime interval, the audience snapshot taken at
+  /// transmit time and each listener's reception slot. The event's
+  /// closure is just `[this, batch]`, trivially copyable, and walks the
+  /// whole audience — one event per transmit instead of one per listener.
+  /// Batches are pooled and recycled through a free list; the vectors keep
+  /// their capacity, so a steady-state transmit allocates nothing.
   struct DeliveryBatch {
     std::vector<NodeId> listeners;
     std::vector<std::uint32_t> rx_slots;  // empty when !rf_collisions
+    util::SharedBytes payload;            // moved out when the batch runs
+    TimePoint start;
+    TimePoint end;
+    NodeId from = 0;
     std::uint32_t next_free = kNoBatch;
   };
 
@@ -204,9 +209,7 @@ class BroadcastMedium {
   /// Handlers may re-entrantly transmit (growing batches_ / the reception
   /// pool), so the batch is re-indexed on every access — never held by
   /// reference across a delivery.
-  void on_batch(std::uint32_t batch, NodeId from,
-                const util::SharedBytes& payload, TimePoint start,
-                TimePoint end);
+  void on_batch(std::uint32_t batch);
 
   /// Per-listener delivery step: applies the native loss checks in order
   /// (disabled, RF collision, half-duplex, random loss), then delivers

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "util/random.hpp"
 
 namespace retri::aff {
@@ -259,6 +262,48 @@ TEST_F(DriverTest, ReassemblyTimeoutReclaimsStaleEntries) {
   EXPECT_EQ(rx.received.size(), 0u);
   EXPECT_EQ(rx.driver.aff_reassembler().pending_count(), 0u);
   EXPECT_GE(rx.driver.aff_reassembler().stats().timeouts, 1u);
+}
+
+// ~AffDriver cancels the driver's timers. Destroyed with a drain timer
+// pending (its transaction span still open) and its expiry timer armed (a
+// reassembly entry pending), nothing of the driver fires while the
+// simulation runs on: the span stays open and no entry times out. A timer
+// firing into the dead driver would also be a use-after-free under ASan.
+TEST_F(DriverTest, DestroyedDriverCancelsItsPendingTimers) {
+  AffDriverConfig config = basic_config(8);
+  config.reassembly_timeout = sim::Duration::seconds(1);
+  Node peer(medium, 0, config);
+  obs::MetricsRegistry metrics;
+  obs::SpanRecorder spans;
+  radio::Radio radio(medium, 1, radio::RadioConfig{}, radio::EnergyModel{},
+                     1001);
+  const std::unique_ptr<core::IdSelector> selector = core::make_selector(
+      core::parse_selector_spec("uniform").value(), core::IdSpace(8), 2001);
+  auto driver = std::make_unique<AffDriver>(radio, *selector, config, 1,
+                                            obs::Hooks{&metrics, &spans});
+
+  ASSERT_TRUE(peer.driver.send_packet(util::random_payload(500, 15)).ok());
+  ASSERT_TRUE(driver->send_packet(util::random_payload(80, 16)).ok());
+  // Step until the peer's intro opens an entry, which arms the expiry timer.
+  while (driver->aff_reassembler().pending_count() == 0 && sim.step()) {
+  }
+  ASSERT_EQ(driver->aff_reassembler().pending_count(), 1u);
+  const auto transaction = std::find_if(
+      spans.spans().begin(), spans.spans().end(),
+      [](const obs::Span& s) { return s.name == "transaction"; });
+  ASSERT_NE(transaction, spans.spans().end());
+  ASSERT_FALSE(transaction->ended) << "the drain timer already fired";
+
+  driver.reset();
+  radio.set_receive_callback(nullptr);  // ~AffDriver leaves it installed
+  // Well past both timers' due times: the drain within a few frames, the
+  // expiry half a timeout after the intro.
+  sim.run_until(sim::TimePoint::origin() + sim::Duration::seconds(5));
+
+  for (const obs::Span& s : spans.spans()) {
+    EXPECT_FALSE(s.ended) << s.name << " ended after its driver died";
+  }
+  EXPECT_EQ(metrics.counter("n1.aff.rx.timeouts").value(), 0u);
 }
 
 TEST_F(DriverTest, UndecodableFramesCountedNotCrashed) {

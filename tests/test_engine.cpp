@@ -182,7 +182,7 @@ TEST(EventHandleGenerations, StaleHandleCannotCancelRecycledSlot) {
   EventHandle fresh =
       sim.schedule_after(Duration::seconds(1), [&] { ++second; });
   EXPECT_FALSE(stale.pending());
-  stale.cancel();  // generation mismatch: must be a no-op
+  stale.cancel();  // key mismatch: must be a no-op
   EXPECT_TRUE(fresh.pending());
   sim.run();
   EXPECT_EQ(second, 1);
@@ -199,6 +199,33 @@ TEST(EventHandleGenerations, CancelledSlotReuseIsAlsoGenerationChecked) {
   EXPECT_TRUE(second.pending());
   sim.run();
   EXPECT_EQ(fired, 1);
+}
+
+// A handle stays inert however many times its slot is reissued: its key
+// names one event, and each later occupant of the slot has its own seq.
+TEST(EventHandleGenerations, HandleStaysInertAcrossRepeatedSlotReuse) {
+  Simulator sim;
+  int fired = 0;
+  EventHandle stale = sim.schedule_after(Duration::seconds(1), [&] { ++fired; });
+  stale.cancel();
+  // One event pending at a time keeps the slab at one slot, so every
+  // event below reuses the slot `stale` points at; they are released
+  // alternately by firing and by cancelling.
+  for (int reuse = 0; reuse < 4; ++reuse) {
+    EventHandle fresh =
+        sim.schedule_after(Duration::seconds(1), [&] { ++fired; });
+    EXPECT_FALSE(stale.pending()) << "reuse " << reuse;
+    stale.cancel();
+    EXPECT_TRUE(fresh.pending()) << "reuse " << reuse;
+    if (reuse % 2 == 0) {
+      sim.run();
+    } else {
+      fresh.cancel();
+    }
+    EXPECT_FALSE(fresh.pending());
+  }
+  EXPECT_EQ(fired, 2);
+  EXPECT_FALSE(stale.pending());
 }
 
 TEST(EventHandleGenerations, HandleOutlivingSimulatorIsInert) {

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -22,9 +24,14 @@
 namespace retri::sim {
 namespace {
 
-detail::QueueEntry entry_at(std::int64_t t_ns, std::uint64_t seq) {
+detail::QueueEntry entry_at(std::int64_t t_ns, std::uint64_t seq,
+                            std::uint32_t slot = 0) {
   return detail::QueueEntry{TimePoint::origin() + Duration::nanoseconds(t_ns),
-                            seq, 0, 0};
+                            detail::pack_key(seq, slot)};
+}
+
+std::uint64_t seq_of(const detail::QueueEntry& e) {
+  return detail::key_seq(e.key);
 }
 
 struct OracleGreater {
@@ -51,10 +58,10 @@ TEST(EventHeap, SameTimestampTiesPopInSchedulingOrder) {
   for (std::uint64_t seq = 0; seq < 100; ++seq) {
     const detail::QueueEntry* top = q.peek();
     ASSERT_NE(top, nullptr);
-    EXPECT_EQ(top->seq, seq);
-    EXPECT_EQ(q.pop().seq, seq);
+    EXPECT_EQ(seq_of(*top), seq);
+    EXPECT_EQ(seq_of(q.pop()), seq);
   }
-  EXPECT_EQ(q.pop().seq, 1'000'000u);
+  EXPECT_EQ(seq_of(q.pop()), 1'000'000u);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.peek(), nullptr);
 }
@@ -107,7 +114,7 @@ TEST(EventHeap, FarFutureClustersPopInGlobalOrder) {
   // pop order is simply seq order.
   for (std::uint64_t s = 0; s < seq; ++s) expected.push_back(s);
   std::vector<std::uint64_t> popped;
-  while (!q.empty()) popped.push_back(q.pop().seq);
+  while (!q.empty()) popped.push_back(seq_of(q.pop()));
   EXPECT_EQ(popped, expected);
 }
 
@@ -124,13 +131,13 @@ TEST(EventHeap, InterleavedDrainAndPushKeepsTotalOrder) {
     q.push(entry_at(clock_ns + 500'000'000, seq++));
     for (int i = 0; i < 6 && !q.empty(); ++i) {
       const detail::QueueEntry e = q.pop();
-      popped.emplace_back(e.t.ns(), e.seq);
+      popped.emplace_back(e.t.ns(), seq_of(e));
       clock_ns = e.t.ns();
     }
   }
   while (!q.empty()) {
     const detail::QueueEntry e = q.pop();
-    popped.emplace_back(e.t.ns(), e.seq);
+    popped.emplace_back(e.t.ns(), seq_of(e));
   }
   ASSERT_EQ(popped.size(), static_cast<std::size_t>(seq));
   for (std::size_t i = 1; i < popped.size(); ++i) {
@@ -144,9 +151,11 @@ TEST(EventHeap, InterleavedDrainAndPushKeepsTotalOrder) {
 // the last popped time, as in the engine. `push_share(op)` is the
 // probability, in percent, that operation `op` pushes; of the rest, one in
 // four peeks. A slice of pushes are exact ties with the previous push, so
-// seq must break them. Each seq is the push count times an odd constant
-// (unique, but not increasing), so a tie may need to sift either way.
-// Returns the largest pending count reached.
+// seq must break them. Each seq is the push count times an odd constant,
+// modulo the key's 2^40 seq range (a bijection there, so unique, but not
+// increasing), so a tie may need to sift either way; each entry's slot is
+// its push count modulo the slot range. Returns the largest pending count
+// reached.
 std::size_t run_differential(std::uint64_t seed, int ops,
                              const std::function<std::uint64_t(int)>& push_share) {
   detail::EventHeap heap;
@@ -178,7 +187,9 @@ std::size_t run_differential(std::uint64_t seed, int ops,
       if (t_ns < clock_ns) t_ns = clock_ns;
       last_tie_ns = t_ns;
       const detail::QueueEntry e =
-          entry_at(t_ns, 0x9e3779b97f4a7c15ULL * seq++);
+          entry_at(t_ns, (0x9e3779b97f4a7c15ULL * seq) & (detail::kSeqLimit - 1),
+                   static_cast<std::uint32_t>(seq % detail::kSlotLimit));
+      ++seq;
       heap.push(e);
       oracle.push(e);
     } else if (rng.below(4) != 0) {
@@ -186,8 +197,8 @@ std::size_t run_differential(std::uint64_t seed, int ops,
       const detail::QueueEntry want = oracle.top();
       oracle.pop();
       EXPECT_EQ(got.t.ns(), want.t.ns()) << "op " << op;
-      EXPECT_EQ(got.seq, want.seq) << "op " << op;
-      if (got.seq != want.seq) return max_pending;
+      EXPECT_EQ(got.key, want.key) << "op " << op;
+      if (got.key != want.key) return max_pending;
       clock_ns = got.t.ns();
       if (last_tie_ns < clock_ns) last_tie_ns = clock_ns;
     } else {
@@ -195,7 +206,7 @@ std::size_t run_differential(std::uint64_t seed, int ops,
       EXPECT_NE(top, nullptr) << "op " << op;
       if (top == nullptr) return max_pending;
       EXPECT_EQ(top->t.ns(), oracle.top().t.ns()) << "op " << op;
-      EXPECT_EQ(top->seq, oracle.top().seq) << "op " << op;
+      EXPECT_EQ(top->key, oracle.top().key) << "op " << op;
     }
     EXPECT_EQ(heap.size(), oracle.size()) << "op " << op;
     if (heap.size() != oracle.size()) return max_pending;
@@ -206,8 +217,8 @@ std::size_t run_differential(std::uint64_t seed, int ops,
     oracle.pop();
     const detail::QueueEntry got = heap.pop();
     EXPECT_EQ(got.t.ns(), want.t.ns());
-    EXPECT_EQ(got.seq, want.seq);
-    if (got.seq != want.seq) return max_pending;
+    EXPECT_EQ(got.key, want.key);
+    if (got.key != want.key) return max_pending;
   }
   EXPECT_TRUE(heap.empty());
   return max_pending;
@@ -227,6 +238,46 @@ TEST(EventHeap, DifferentialOracleOver200kOpsPast50kPending) {
       20260418, 200'000,
       [](int op) -> std::uint64_t { return op < 100'000 ? 80 : 30; });
   EXPECT_GT(max_pending, 50'000u);
+}
+
+// An entry's key packs seq above the slot. Every field value up to its
+// limit round-trips, keys order by seq whatever their slots, and the
+// all-ones key that marks a free slot is never a packed key.
+TEST(EventKey, PacksSeqAboveSlotUpToTheFieldLimits) {
+  const std::uint64_t top_seq = detail::kSeqLimit - 1;
+  const std::uint32_t top_slot = detail::kSlotLimit - 1;
+  EXPECT_EQ(top_seq, (std::uint64_t{1} << 40) - 1);
+  EXPECT_EQ(top_slot, (1u << 24) - 2);
+  for (const std::uint64_t seq : {std::uint64_t{0}, std::uint64_t{1}, top_seq}) {
+    for (const std::uint32_t slot : {0u, 1u, top_slot}) {
+      const std::uint64_t key = detail::pack_key(seq, slot);
+      EXPECT_EQ(detail::key_seq(key), seq);
+      EXPECT_EQ(detail::key_slot(key), slot);
+      EXPECT_NE(key, detail::kDeadKey);
+    }
+  }
+  EXPECT_LT(detail::pack_key(5, top_slot), detail::pack_key(6, 0));
+  EXPECT_EQ(detail::pack_key(top_seq, top_slot), detail::kDeadKey - 1);
+}
+
+// One past either field's limit throws instead of wrapping into another
+// event's key (or the dead key), and the slab refuses before it changes.
+TEST(EventKey, RefusesToWrapPastTheFieldLimits) {
+  EXPECT_THROW(detail::pack_key(detail::kSeqLimit, 0), std::length_error);
+  EXPECT_THROW(detail::pack_key(~std::uint64_t{0}, 0), std::length_error);
+  EXPECT_THROW(detail::pack_key(0, detail::kSlotLimit), std::length_error);
+  EXPECT_THROW(detail::pack_key(0, ~std::uint32_t{0}), std::length_error);
+
+  detail::EventSlab slab;
+  const std::uint64_t last = slab.acquire(detail::kSeqLimit - 1);
+  EXPECT_EQ(detail::key_slot(last), 0u);
+  EXPECT_TRUE(slab.live(last));
+  slab.release(0);
+  EXPECT_FALSE(slab.live(last));
+  EXPECT_THROW(slab.acquire(detail::kSeqLimit), std::length_error);
+  EXPECT_EQ(slab.free_head, 0u);
+  EXPECT_EQ(slab.slots.size(), 1u);
+  EXPECT_EQ(slab.slots[0].key, detail::kDeadKey);
 }
 
 // Tallies destructor runs of a move-only capture so the heap-fallback
@@ -309,6 +360,96 @@ TEST(EventFnHeapFallback, CancelledOversizedCaptureFreesOnce) {
   sim.run();  // drains the stale entry
   EXPECT_EQ(fired, 0);
   EXPECT_EQ(destroyed, 1);
+}
+
+// A capture that is not trivially copyable must be moved by its move
+// constructor, never byte-copied: each instance records its own address,
+// and its destructor counts the run and whether it runs at another
+// address than the one it was constructed or moved to.
+struct Tally {
+  int destroyed = 0;
+  int byte_copied = 0;
+};
+
+class AddressTally {
+ public:
+  explicit AddressTally(Tally* tally) : tally_(tally), self_(this) {}
+  AddressTally(AddressTally&& other) noexcept
+      : tally_(std::exchange(other.tally_, nullptr)), self_(this) {}
+  AddressTally(const AddressTally&) = delete;
+  AddressTally& operator=(AddressTally&&) = delete;
+  AddressTally& operator=(const AddressTally&) = delete;
+  ~AddressTally() {
+    if (tally_ == nullptr) return;
+    ++tally_->destroyed;
+    if (self_ != this) ++tally_->byte_copied;
+  }
+
+ private:
+  Tally* tally_;
+  const AddressTally* self_;
+};
+
+// An inline capture that is not trivially copyable is relocated by its
+// move constructor and destroyed exactly once whether its event fires, is
+// cancelled, or is still pending when the Simulator dies, with the slab
+// growing (and relocating every pending slot) in between.
+TEST(EventFnRelocation, NonTrivialInlineCaptureIsDestroyedExactlyOnce) {
+  static_assert(!std::is_trivially_copyable_v<AddressTally>);
+  Tally on_fire;
+  Tally on_cancel;
+  Tally at_teardown;
+  int fired = 0;
+  {
+    Simulator sim;
+    sim.schedule_after(Duration::nanoseconds(100),
+                       [&fired, t = AddressTally(&on_fire)] { ++fired; });
+    EventHandle cancelled = sim.schedule_after(
+        Duration::nanoseconds(200),
+        [&fired, t = AddressTally(&on_cancel)] { ++fired; });
+    sim.schedule_after(Duration::nanoseconds(300),
+                       [&fired, t = AddressTally(&at_teardown)] { ++fired; });
+    EXPECT_FALSE(EventFn([t = AddressTally(nullptr)] {}).uses_heap());
+    for (int i = 0; i < 100; ++i) {  // grows the slab past its first sizes
+      sim.schedule_after(Duration::seconds(1), [] {});
+    }
+    cancelled.cancel();
+    EXPECT_EQ(on_cancel.destroyed, 1);
+    sim.run_until(TimePoint::origin() + Duration::nanoseconds(250));
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(on_fire.destroyed, 1);
+    EXPECT_EQ(at_teardown.destroyed, 0);
+  }
+  EXPECT_EQ(fired, 1);
+  for (const Tally* t : {&on_fire, &on_cancel, &at_teardown}) {
+    EXPECT_EQ(t->destroyed, 1);
+    EXPECT_EQ(t->byte_copied, 0);
+  }
+}
+
+// A trivially copyable capture is relocated by copying its bytes. One that
+// grows the slab from inside its own firing still reads its captures
+// afterwards, and the pending captures the growth relocated fire intact.
+TEST(EventFnRelocation, TriviallyCopyableCaptureSurvivesSlabGrowthWhileFiring) {
+  Simulator sim;
+  std::vector<std::uint64_t> seen;
+  const std::uint64_t a = 0x0123456789abcdefULL;
+  const std::uint64_t b = 0xfedcba9876543210ULL;
+  const auto grow = [&sim, &seen, a, b] {
+    for (std::uint64_t i = 0; i < 300; ++i) {
+      const auto later = [&seen, a, i] { seen.push_back(a + i); };
+      static_assert(std::is_trivially_copyable_v<decltype(later)>);
+      sim.schedule_after(Duration::nanoseconds(1 + static_cast<std::int64_t>(i)),
+                         later);
+    }
+    seen.push_back(a ^ b);
+  };
+  static_assert(std::is_trivially_copyable_v<decltype(grow)>);
+  sim.schedule_after(Duration::nanoseconds(1), grow);
+  sim.run();
+  ASSERT_EQ(seen.size(), 301u);
+  EXPECT_EQ(seen[0], a ^ b);
+  for (std::uint64_t i = 0; i < 300; ++i) EXPECT_EQ(seen[1 + i], a + i);
 }
 
 }  // namespace

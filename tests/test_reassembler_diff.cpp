@@ -283,6 +283,155 @@ bool run_round(std::uint64_t seed, Totals& totals) {
   return true;
 }
 
+// --- scripted cases for intro-sized entries -------------------------------
+//
+// The slab Reassembler sizes an entry's buffers from the intro that opens
+// or restarts it; the reference grows them fragment by fragment. These
+// scripts aim at the cases where the two could part: restarts that shrink
+// and grow the announced length, coverage completed past total_len, and a
+// huge announced length whose slot is recycled.
+
+/// One step of a script: a fragment, or expire() when `expire` is set.
+struct Step {
+  std::int64_t at_us = 0;
+  bool expire = false;
+  Fragment fragment;
+};
+
+Step intro_step(std::int64_t at_us, std::uint64_t key, std::size_t len,
+                std::uint32_t checksum) {
+  return Step{at_us, false,
+              Fragment{true, key, static_cast<std::uint16_t>(len), checksum,
+                       {}}};
+}
+
+Step intro_step(std::int64_t at_us, std::uint64_t key,
+                const util::Bytes& packet) {
+  return intro_step(at_us, key, packet.size(), util::crc32(packet));
+}
+
+/// Data fragment carrying packet[from, to).
+Step data_step(std::int64_t at_us, std::uint64_t key, const util::Bytes& packet,
+               std::size_t from, std::size_t to) {
+  return Step{at_us, false,
+              Fragment{false, key, static_cast<std::uint16_t>(from), 0,
+                       util::Bytes(packet.begin() + static_cast<std::ptrdiff_t>(from),
+                                   packet.begin() + static_cast<std::ptrdiff_t>(to))}};
+}
+
+Step expire_step(std::int64_t at_us) { return Step{at_us, true, {}}; }
+
+/// Feeds `script` to both implementations, checking agreement after every
+/// step, and returns the reference's stats for the caller to check that
+/// the script reached what it aims at.
+ReassemblerStatsSnapshot replay(const std::vector<Step>& script,
+                                const std::vector<std::uint64_t>& keys,
+                                std::size_t max_entries = 4) {
+  ReassemblerConfig config;
+  config.max_entries = max_entries;
+  config.timeout = sim::Duration::milliseconds(10);
+  Side<Reassembler> got(config);
+  Side<reference::Reassembler> want(config);
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    const Step& step = script[i];
+    if (step.expire) {
+      got.reasm.expire(at_us(step.at_us));
+      want.reasm.expire(at_us(step.at_us));
+    } else {
+      got.apply(step.fragment, at_us(step.at_us));
+      want.apply(step.fragment, at_us(step.at_us));
+    }
+    const ::testing::AssertionResult same = agree(got, want, keys);
+    EXPECT_TRUE(same) << "step " << i;
+    if (!same) break;
+  }
+  return want.reasm.stats();
+}
+
+// A restart intro announcing a shorter packet, then one announcing a
+// longer packet: each restart resizes the entry, and the bytes the
+// earlier announcements' data wrote must not leak into the last packet.
+TEST(ReassemblerDifferential, RestartsToShorterThenLongerLength) {
+  util::Xoshiro256 rng(71);
+  const util::Bytes a = make_packet(rng, 100);
+  const util::Bytes b = make_packet(rng, 30);
+  const util::Bytes c = make_packet(rng, 200);
+  const util::Bytes zeros(120, 0);
+  const util::Bytes longer = make_packet(rng, 250);
+  const std::vector<Step> script{
+      intro_step(0, 7, a),
+      data_step(1, 7, a, 0, 40),
+      data_step(2, 7, a, 40, 90),
+      intro_step(3, 7, b),  // restart, shorter
+      data_step(4, 7, b, 0, 20),
+      intro_step(5, 7, c),  // restart, longer
+      data_step(6, 7, c, 0, 150),
+      data_step(7, 7, c, 150, 200),  // delivered
+      // The same shrink then grow with nothing written in between, to an
+      // all-zero packet that a longer collider's bytes past total_len
+      // complete: the checksum reads only bytes written before the
+      // restarts, which must read as zero.
+      intro_step(10, 8, a),
+      data_step(11, 8, a, 0, 90),
+      intro_step(12, 8, b),
+      intro_step(13, 8, zeros),
+      data_step(14, 8, longer, 120, 250),  // delivered
+  };
+  const ReassemblerStatsSnapshot stats = replay(script, {7, 8});
+  EXPECT_EQ(stats.delivered, 2u);
+  EXPECT_EQ(stats.conflicting_writes, 4u);  // the four restarts
+  EXPECT_EQ(stats.checksum_failed, 0u);
+}
+
+// A longer packet colliding under the key writes past total_len, and its
+// bytes alone complete the coverage count: the checksum then runs over
+// bytes no fragment wrote, which read as zero on both sides — a match
+// when the announced packet is all zero, a failure otherwise.
+TEST(ReassemblerDifferential, CoveragePastTotalLenChecksumsUnwrittenBytes) {
+  util::Xoshiro256 rng(72);
+  util::Bytes random60 = make_packet(rng, 60);
+  random60[0] = 1;  // not all zero
+  const util::Bytes zeros60(60, 0);
+  const util::Bytes longer = make_packet(rng, 130);
+  const std::vector<Step> script{
+      intro_step(0, 3, zeros60),
+      data_step(1, 3, longer, 60, 95),
+      data_step(2, 3, longer, 95, 130),  // 70 bytes covered >= 60: delivered
+      intro_step(3, 4, random60),
+      data_step(4, 4, longer, 70, 130),  // 60 covered: checksum fails
+      intro_step(5, 5, random60),
+      data_step(6, 5, longer, 50, 100),  // straddles total_len
+      data_step(7, 5, random60, 0, 10),  // covers the rest: checksum fails
+  };
+  const ReassemblerStatsSnapshot stats = replay(script, {3, 4, 5});
+  EXPECT_EQ(stats.delivered, 1u);
+  EXPECT_EQ(stats.checksum_failed, 2u);
+}
+
+// An intro announcing 65,535 bytes (a corrupted length) opens a full-size
+// entry that a short packet's data cannot complete; it times out, and the
+// recycled slot then reassembles short packets under the same key.
+TEST(ReassemblerDifferential, MaximalAnnouncedLengthThenShortDataTimesOut) {
+  util::Xoshiro256 rng(73);
+  const util::Bytes short_packet = make_packet(rng, 40);
+  const util::Bytes sparse(40, 0);
+  const std::vector<Step> script{
+      intro_step(0, 9, 0xffff, util::crc32(short_packet)),
+      data_step(1, 9, short_packet, 0, 20),
+      data_step(2, 9, short_packet, 20, 40),
+      expire_step(5'000),   // not idle long enough yet
+      expire_step(10'002),  // timed out
+      intro_step(10'003, 9, sparse),
+      data_step(10'004, 9, sparse, 0, 40),  // delivered from the recycled slot
+      intro_step(10'005, 9, short_packet),
+      data_step(10'006, 9, short_packet, 0, 40),  // delivered
+  };
+  const ReassemblerStatsSnapshot stats = replay(script, {9}, 1);
+  EXPECT_EQ(stats.timeouts, 1u);
+  EXPECT_EQ(stats.delivered, 2u);
+  EXPECT_EQ(stats.checksum_failed, 0u);
+}
+
 TEST(ReassemblerDifferential, MatchesReferenceOnAffLikeStreams) {
   Totals totals;
   for (std::uint64_t seed = 1; seed <= 1500; ++seed) {
