@@ -161,8 +161,9 @@ CodebookOutcome run_codebook(unsigned code_bits, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   const auto args = bench::parse_args(argc, argv);
-  if (const int bad_out = bench::require_no_out(args, stderr)) {
-    return bad_out;
+  if (const int bad_flag = bench::require_only(
+          args, {"--seed", "--csv"}, stderr)) {
+    return bad_flag;
   }
 
   std::printf(

@@ -96,8 +96,9 @@ ChurnOutcome run_churn(std::size_t nodes, retri::sim::Duration rejoin_period,
 
 int main(int argc, char** argv) {
   const auto args = retri::bench::parse_args(argc, argv);
-  if (const int bad_out = retri::bench::require_no_out(args, stderr)) {
-    return bad_out;
+  if (const int bad_flag = retri::bench::require_only(
+          args, {"--seed", "--seconds", "--csv"}, stderr)) {
+    return bad_flag;
   }
 
   constexpr std::size_t kNodes = 10;

@@ -41,8 +41,9 @@ double tx_energy_nj(const EnergyModel& model, double data_bits,
 
 int main(int argc, char** argv) {
   const auto args = retri::bench::parse_args(argc, argv);
-  if (const int bad_out = retri::bench::require_no_out(args, stderr)) {
-    return bad_out;
+  if (const int bad_flag = retri::bench::require_only(
+          args, {"--csv"}, stderr)) {
+    return bad_flag;
   }
   constexpr double kDataBits = 16.0;
   constexpr std::uint64_t kMessages = 100'000;

@@ -154,8 +154,9 @@ double run_aff_under_mobility(double speed, double seconds,
 
 int main(int argc, char** argv) {
   const auto args = bench::parse_args(argc, argv);
-  if (const int bad_out = bench::require_no_out(args, stderr)) {
-    return bad_out;
+  if (const int bad_flag = bench::require_only(
+          args, {"--seed", "--seconds", "--csv"}, stderr)) {
+    return bad_flag;
   }
   const double horizon = args.seconds * 2;
 

@@ -20,6 +20,8 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "apps/diffusion.hpp"
@@ -66,7 +68,6 @@ ScalingOutcome run_grid(std::size_t side, std::uint64_t seed) {
     std::unique_ptr<radio::Radio> radio;
     std::unique_ptr<core::IdSelector> selector;
     std::unique_ptr<apps::DiffusionNode> diffusion;
-    std::uint64_t delivered = 0;
   };
   const std::size_t n = side * side;
   std::vector<Node> nodes(n);
@@ -94,10 +95,13 @@ ScalingOutcome run_grid(std::size_t side, std::uint64_t seed) {
   ScalingOutcome out;
   out.nodes = n;
 
+  // Each publisher publishes one value per round, so (src_uid, value)
+  // names one reading; a reading several sinks hear counts once.
+  std::set<std::pair<std::uint32_t, std::uint16_t>> delivered;
   for (const std::size_t s : sinks) {
     nodes[s].diffusion->subscribe(
-        name, [&nodes, s](std::uint16_t, std::uint32_t) {
-          ++nodes[s].delivered;
+        name, [&delivered](std::uint16_t value, std::uint32_t src_uid) {
+          delivered.emplace(src_uid, value);
         });
   }
   sim.run_until(sim::TimePoint::origin() + sim::Duration::seconds(5));
@@ -141,7 +145,7 @@ ScalingOutcome run_grid(std::size_t side, std::uint64_t seed) {
   }
   sim.run_until(sim.now() + sim::Duration::seconds(10));
 
-  for (const std::size_t s : sinks) out.delivered += nodes[s].delivered;
+  out.delivered = delivered.size();
   for (const auto& node : nodes) {
     out.max_density = std::max(out.max_density,
                                node.diffusion->local_density());
@@ -154,8 +158,9 @@ ScalingOutcome run_grid(std::size_t side, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   const auto args = bench::parse_args(argc, argv);
-  if (const int bad_out = bench::require_no_out(args, stderr)) {
-    return bad_out;
+  if (const int bad_flag = bench::require_only(
+          args, {"--seed", "--csv"}, stderr)) {
+    return bad_flag;
   }
 
   std::printf(

@@ -18,8 +18,9 @@ using retri::stats::fmt_pct;
 
 int main(int argc, char** argv) {
   const auto args = retri::bench::parse_args(argc, argv);
-  if (const int bad_out = retri::bench::require_no_out(args, stderr)) {
-    return bad_out;
+  if (const int bad_flag = retri::bench::require_only(
+          args, {"--csv"}, stderr)) {
+    return bad_flag;
   }
   constexpr double kDataBits = 16.0;
   const double densities[] = {16.0, 256.0, 65536.0};

@@ -53,8 +53,9 @@ double monte_carlo_e_aff(double data_bits, unsigned id_bits, unsigned density,
 
 int main(int argc, char** argv) {
   const auto args = retri::bench::parse_args(argc, argv);
-  if (const int bad_out = retri::bench::require_no_out(args, stderr)) {
-    return bad_out;
+  if (const int bad_flag = retri::bench::require_only(
+          args, {"--seed", "--csv"}, stderr)) {
+    return bad_flag;
   }
   constexpr double kDataBits = 16.0;
   const unsigned loads[] = {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024};

@@ -1,5 +1,6 @@
 #include "harness.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
@@ -94,6 +95,7 @@ bool try_parse_args(int argc, char** argv, BenchArgs& args,
       error = "unknown flag: " + std::string(flag);
       return false;
     }
+    args.given.emplace_back(flag);
   }
   return true;
 }
@@ -125,6 +127,27 @@ int require_no_out(const BenchArgs& args, std::FILE* err) {
                "only); run the grid through `retri_bench --sweep NAME --out "
                "%s` for the JSON artifact\n",
                args.out.c_str());
+  return 2;
+}
+
+int require_only(const BenchArgs& args,
+                 std::initializer_list<std::string_view> reads,
+                 std::FILE* err) {
+  if (const int status = require_no_out(args, err)) return status;
+  const auto unread =
+      std::find_if(args.given.begin(), args.given.end(),
+                   [reads](const std::string& flag) {
+                     return std::find(reads.begin(), reads.end(), flag) ==
+                            reads.end();
+                   });
+  if (unread == args.given.end()) return 0;
+  std::string read;
+  for (const std::string_view flag : reads) {
+    read += ' ';
+    read += flag;
+  }
+  std::fprintf(err, "%s is not read by this binary; it takes only:%s\n",
+               unread->c_str(), read.c_str());
   return 2;
 }
 

@@ -9,7 +9,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "runner/sweep.hpp"
 
@@ -39,6 +42,8 @@ struct BenchArgs {
   /// store are served instead of simulated; results (and the --out
   /// artifact) are bit-identical to an uncached run.
   std::string cache;
+  /// The flags given, in command-line order.
+  std::vector<std::string> given;
 };
 
 /// Non-exiting parser: returns false and fills `error` on unknown flags,
@@ -68,5 +73,13 @@ int export_result(const std::string& path, const runner::SweepResult& result,
 /// prints the first one found (--out with a redirect to
 /// `retri_bench --sweep NAME --out`) and returns 2.
 int require_no_out(const BenchArgs& args, std::FILE* err);
+
+/// Exit-2 guard for a table binary that reads only the flags in `reads`:
+/// require_no_out's refusals first, then the first given flag not in
+/// `reads` is printed with the flags the binary does read, and 2 is
+/// returned. 0 when the binary reads every flag given.
+int require_only(const BenchArgs& args,
+                 std::initializer_list<std::string_view> reads,
+                 std::FILE* err);
 
 }  // namespace retri::bench

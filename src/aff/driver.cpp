@@ -141,6 +141,7 @@ AffDriverStatsSnapshot AffDriver::stats() const noexcept {
 AffDriver::~AffDriver() {
   expiry_timer_.cancel();
   for (DrainTimer& timer : drain_timers_) timer.handle.cancel();
+  radio_.set_receive_callback(nullptr);
 }
 
 void AffDriver::ensure_expiry_timer() {

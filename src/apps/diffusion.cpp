@@ -38,6 +38,8 @@ DiffusionNode::DiffusionNode(radio::Radio& radio, core::IdSelector& selector,
       [this](sim::NodeId, const util::Bytes& frame) { on_frame(frame); });
 }
 
+DiffusionNode::~DiffusionNode() { radio_.set_receive_callback(nullptr); }
+
 double DiffusionNode::local_density() const noexcept {
   const double live =
       static_cast<double>(gradients_.size() + data_seen_.size());

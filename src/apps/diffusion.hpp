@@ -82,6 +82,7 @@ class DiffusionNode {
 
   DiffusionNode(radio::Radio& radio, core::IdSelector& selector,
                 DiffusionConfig config, std::uint32_t node_uid);
+  ~DiffusionNode();
 
   DiffusionNode(const DiffusionNode&) = delete;
   DiffusionNode& operator=(const DiffusionNode&) = delete;

@@ -35,8 +35,7 @@ InterestSensor::InterestSensor(radio::Radio& radio, core::IdSelector& selector,
       selector_(selector),
       config_(validated(config)),
       uid_(uid),
-      sample_(std::move(sample)),
-      alive_(std::make_shared<bool>(true)) {
+      sample_(std::move(sample)) {
   assert(selector_.space().bits() == config_.wire.id_bits);
   assert(config_.reinforced_period <= config_.base_period);
   assert(sample_ != nullptr);
@@ -44,9 +43,13 @@ InterestSensor::InterestSensor(radio::Radio& radio, core::IdSelector& selector,
       [this](sim::NodeId, const util::Bytes& frame) { on_frame(frame); });
 }
 
-InterestSensor::~InterestSensor() { *alive_ = false; }
+InterestSensor::~InterestSensor() {
+  tick_timer_.cancel();
+  radio_.set_receive_callback(nullptr);
+}
 
 void InterestSensor::start(sim::TimePoint until) {
+  tick_timer_.cancel();  // a restart replaces the pending tick
   until_ = until;
   tick();
 }
@@ -60,12 +63,7 @@ void InterestSensor::tick() {
   send_reading();
   const sim::Duration period =
       reinforced() ? config_.reinforced_period : config_.base_period;
-  std::weak_ptr<bool> alive = alive_;
-  radio_.simulator().schedule_after(period, [this, alive]() {
-    const auto flag = alive.lock();
-    if (!flag || !*flag) return;
-    tick();
-  });
+  tick_timer_ = radio_.simulator().schedule_after(period, [this]() { tick(); });
 }
 
 void InterestSensor::send_reading() {
@@ -125,6 +123,8 @@ InterestSink::InterestSink(radio::Radio& radio, SinkConfig config)
   radio_.set_receive_callback(
       [this](sim::NodeId, const util::Bytes& frame) { on_frame(frame); });
 }
+
+InterestSink::~InterestSink() { radio_.set_receive_callback(nullptr); }
 
 void InterestSink::on_frame(const util::Bytes& frame) {
   util::BufferReader r(frame);

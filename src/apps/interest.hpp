@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 
 #include "core/selector.hpp"
 #include "radio/radio.hpp"
@@ -88,7 +87,7 @@ class InterestSensor {
   sim::TimePoint reinforced_until_;
   std::deque<core::TransactionId> recent_ids_;
   SensorStats stats_;
-  std::shared_ptr<bool> alive_;
+  sim::EventHandle tick_timer_;  // the pending reading tick
 };
 
 struct SinkConfig {
@@ -113,6 +112,7 @@ class InterestSink {
       std::function<void(core::TransactionId id, std::uint16_t value)>;
 
   InterestSink(radio::Radio& radio, SinkConfig config);
+  ~InterestSink();
 
   InterestSink(const InterestSink&) = delete;
   InterestSink& operator=(const InterestSink&) = delete;

@@ -27,6 +27,9 @@
 // come from their own splitmix64-derived Xoshiro256 stream (the injector's
 // per-family pattern), so toggling modes never perturbs another family's
 // decisions and soaks stay jobs-invariant.
+//
+// The flood and echo events are not cancelled when the attacker dies, so
+// it must outlive the run (an exception DESIGN.md §5e states).
 #pragma once
 
 #include <cstdint>

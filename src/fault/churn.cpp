@@ -18,18 +18,19 @@ ChurnSchedule::ChurnSchedule(sim::BroadcastMedium& medium, ChurnConfig config,
                              std::uint64_t seed, sim::TimePoint stop_at)
     : medium_(medium),
       config_(validated_churn(config)),
-      stop_at_(stop_at),
-      alive_(std::make_shared<bool>(true)) {
+      stop_at_(stop_at) {
   if (!config_.active()) return;
   util::SplitMix64 mix(seed);
   nodes_.reserve(nodes.size());
   for (const sim::NodeId id : nodes) {
-    nodes_.push_back(Node{id, util::Xoshiro256(mix.next())});
+    nodes_.push_back(Node{id, util::Xoshiro256(mix.next()), {}});
   }
   for (std::size_t i = 0; i < nodes_.size(); ++i) schedule_crash(i);
 }
 
-ChurnSchedule::~ChurnSchedule() { *alive_ = false; }
+ChurnSchedule::~ChurnSchedule() {
+  for (Node& node : nodes_) node.timer.cancel();
+}
 
 sim::Duration ChurnSchedule::dwell(std::size_t index, sim::Duration mean) {
   const double seconds = nodes_[index].rng.exponential(mean.to_seconds());
@@ -41,10 +42,7 @@ void ChurnSchedule::schedule_crash(std::size_t index) {
   const sim::TimePoint at =
       medium_.simulator().now() + dwell(index, config_.mean_uptime);
   if (at >= stop_at_) return;  // no crashes after the schedule's horizon
-  std::weak_ptr<bool> alive = alive_;
-  medium_.simulator().schedule_at(at, [this, alive, index]() {
-    const auto flag = alive.lock();
-    if (!flag || !*flag) return;
+  nodes_[index].timer = medium_.simulator().schedule_at(at, [this, index]() {
     medium_.set_enabled(nodes_[index].id, false);
     ++crashes_;
     schedule_restart(index);
@@ -54,11 +52,8 @@ void ChurnSchedule::schedule_crash(std::size_t index) {
 void ChurnSchedule::schedule_restart(std::size_t index) {
   // Restarts may land past stop_at so a node crashed near the horizon
   // still comes back up; only new crashes are horizon-limited.
-  std::weak_ptr<bool> alive = alive_;
-  medium_.simulator().schedule_after(
-      dwell(index, config_.mean_downtime), [this, alive, index]() {
-        const auto flag = alive.lock();
-        if (!flag || !*flag) return;
+  nodes_[index].timer = medium_.simulator().schedule_after(
+      dwell(index, config_.mean_downtime), [this, index]() {
         medium_.set_enabled(nodes_[index].id, true);
         ++restarts_;
         schedule_crash(index);

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "fault/plan.hpp"
@@ -24,11 +23,10 @@ namespace retri::fault {
 class ChurnSchedule {
  public:
   /// Governs `nodes` with dwell times from `config`, scheduling no crash
-  /// at or after `stop_at`. Inactive configs schedule nothing. The
-  /// schedule object must outlive the simulation run (events hold a weak
-  /// liveness flag, so destruction before pending events fire is safe but
-  /// stops the churn). Throws std::invalid_argument on negative dwell
-  /// means (via fault::validated).
+  /// at or after `stop_at`. Inactive configs schedule nothing. Destroying
+  /// the schedule cancels every node's pending crash or restart, which
+  /// stops the churn and leaves each node as it is. Throws
+  /// std::invalid_argument on negative dwell means (via fault::validated).
   ChurnSchedule(sim::BroadcastMedium& medium, ChurnConfig config,
                 std::vector<sim::NodeId> nodes, std::uint64_t seed,
                 sim::TimePoint stop_at);
@@ -44,6 +42,7 @@ class ChurnSchedule {
   struct Node {
     sim::NodeId id;
     util::Xoshiro256 rng;
+    sim::EventHandle timer;  // its one pending crash or restart
   };
 
   void schedule_crash(std::size_t index);
@@ -56,7 +55,6 @@ class ChurnSchedule {
   std::vector<Node> nodes_;
   std::uint64_t crashes_ = 0;
   std::uint64_t restarts_ = 0;
-  std::shared_ptr<bool> alive_;
 };
 
 }  // namespace retri::fault

@@ -47,8 +47,7 @@ AddressedDriver::AddressedDriver(radio::Radio& radio, Address source,
               ? radio.config().max_frame_bytes - data_header_bytes()
               : 0),
       reassembler_(aff::ReassemblerConfig{config.reassembly_timeout,
-                                          config.max_reassembly_entries}),
-      alive_(std::make_shared<bool>(true)) {
+                                          config.max_reassembly_entries}) {
   radio_.set_receive_callback(
       [this](sim::NodeId, const util::Bytes& frame) { on_frame(frame); });
 
@@ -58,7 +57,10 @@ AddressedDriver::AddressedDriver(radio::Radio& radio, Address source,
   });
 }
 
-AddressedDriver::~AddressedDriver() { *alive_ = false; }
+AddressedDriver::~AddressedDriver() {
+  expiry_timer_.cancel();
+  radio_.set_receive_callback(nullptr);
+}
 
 std::size_t AddressedDriver::intro_header_bytes() const noexcept {
   return 1 + util::bytes_for_bits(config_.addr_bits) + 2 + 2 + 4;
@@ -76,11 +78,8 @@ std::size_t AddressedDriver::frame_count(std::size_t packet_bytes) const noexcep
 void AddressedDriver::ensure_expiry_timer() {
   if (expiry_timer_.pending()) return;
   if (reassembler_.pending_count() == 0) return;
-  std::weak_ptr<bool> alive = alive_;
   expiry_timer_ = radio_.simulator().schedule_after(
-      config_.reassembly_timeout / 2, [this, alive]() {
-        const auto flag = alive.lock();
-        if (!flag || !*flag) return;
+      config_.reassembly_timeout / 2, [this]() {
         reassembler_.expire(radio_.simulator().now());
         ensure_expiry_timer();
       });

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "aff/reassembler.hpp"
 #include "net/static_addr.hpp"
@@ -100,7 +99,6 @@ class AddressedDriver {
   PacketHandler on_packet_;
   AddressedStats stats_;
   sim::EventHandle expiry_timer_;
-  std::shared_ptr<bool> alive_;
 };
 
 }  // namespace retri::net

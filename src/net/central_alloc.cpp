@@ -21,6 +21,10 @@ CentralAllocServer::CentralAllocServer(radio::Radio& radio, unsigned addr_bits)
       [this](sim::NodeId, const util::Bytes& frame) { on_frame(frame); });
 }
 
+CentralAllocServer::~CentralAllocServer() {
+  radio_.set_receive_callback(nullptr);
+}
+
 void CentralAllocServer::on_frame(const util::Bytes& frame) {
   util::BufferReader r(frame);
   const auto kind = r.u8();
@@ -60,13 +64,15 @@ CentralAllocClient::CentralAllocClient(radio::Radio& radio,
                                        std::uint64_t seed)
     : radio_(radio),
       config_(validated(config)),
-      rng_(seed),
-      alive_(std::make_shared<bool>(true)) {
+      rng_(seed) {
   radio_.set_receive_callback(
       [this](sim::NodeId, const util::Bytes& frame) { on_frame(frame); });
 }
 
-CentralAllocClient::~CentralAllocClient() { *alive_ = false; }
+CentralAllocClient::~CentralAllocClient() {
+  timeout_timer_.cancel();
+  radio_.set_receive_callback(nullptr);
+}
 
 void CentralAllocClient::start() {
   if (requesting_) return;
@@ -94,11 +100,9 @@ void CentralAllocClient::send_request() {
   ++stats_.requests_sent;
   radio_.send(w.take());
 
-  std::weak_ptr<bool> alive = alive_;
   timeout_timer_ = radio_.simulator().schedule_after(
-      config_.request_timeout, [this, alive]() {
-        const auto flag = alive.lock();
-        if (!flag || !*flag || !requesting_) return;
+      config_.request_timeout, [this]() {
+        if (!requesting_) return;
         send_request();
       });
 }

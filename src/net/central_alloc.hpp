@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "net/static_addr.hpp"
 #include "radio/radio.hpp"
@@ -41,6 +40,7 @@ struct CentralAllocStats {
 class CentralAllocServer {
  public:
   CentralAllocServer(radio::Radio& radio, unsigned addr_bits);
+  ~CentralAllocServer();
 
   CentralAllocServer(const CentralAllocServer&) = delete;
   CentralAllocServer& operator=(const CentralAllocServer&) = delete;
@@ -108,7 +108,6 @@ class CentralAllocClient {
   AcquiredFn on_acquired_;
   FailedFn on_failed_;
   CentralAllocStats stats_;
-  std::shared_ptr<bool> alive_;
 };
 
 }  // namespace retri::net

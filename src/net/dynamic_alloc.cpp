@@ -25,14 +25,16 @@ DynAllocNode::DynAllocNode(radio::Radio& radio, DynAllocConfig config,
                            std::uint64_t seed)
     : radio_(radio),
       config_(validated(config)),
-      rng_(seed),
-      alive_(std::make_shared<bool>(true)) {
+      rng_(seed) {
   assert(config_.addr_bits >= 1 && config_.addr_bits <= 48);
   radio_.set_receive_callback(
       [this](sim::NodeId, const util::Bytes& frame) { on_frame(frame); });
 }
 
-DynAllocNode::~DynAllocNode() { *alive_ = false; }
+DynAllocNode::~DynAllocNode() {
+  confirm_timer_.cancel();
+  radio_.set_receive_callback(nullptr);
+}
 
 std::uint64_t DynAllocNode::pick_address() {
   const std::uint64_t pool = util::pool_size_exact(config_.addr_bits);
@@ -74,11 +76,8 @@ void DynAllocNode::begin_attempt() {
   pending_nonce_ = static_cast<std::uint32_t>(rng_.next());
   send_claim();
 
-  std::weak_ptr<bool> alive = alive_;
   confirm_timer_ = radio_.simulator().schedule_after(
-      config_.claim_wait, [this, alive]() {
-        const auto flag = alive.lock();
-        if (!flag || !*flag) return;
+      config_.claim_wait, [this]() {
         if (state_ != State::kClaiming) return;
         state_ = State::kConfirmed;
         confirmed_ = true;

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <unordered_set>
 
 #include "net/static_addr.hpp"
@@ -105,7 +104,6 @@ class DynAllocNode {
   AcquiredFn on_acquired_;
   FailedFn on_failed_;
   DynAllocStats stats_;
-  std::shared_ptr<bool> alive_;
 };
 
 }  // namespace retri::net

@@ -20,8 +20,7 @@ DutyCycleController::DutyCycleController(Radio& radio, DutyCycleConfig config)
       config_(validated(config)),
       on_span_(sim::Duration::from_seconds(
           config.period.to_seconds() * std::clamp(config.on_fraction, 0.0, 1.0))),
-      last_transition_(radio.simulator().now()),
-      alive_(std::make_shared<bool>(true)) {
+      last_transition_(radio.simulator().now()) {
   assert(config_.period > sim::Duration::nanoseconds(0));
 
   if (config_.on_fraction >= 1.0) {
@@ -39,17 +38,15 @@ DutyCycleController::DutyCycleController(Radio& radio, DutyCycleConfig config)
   // Start asleep until this node's phase, then run wake/sleep cycles.
   radio_.set_listening(false);
   note_transition(false);
-  std::weak_ptr<bool> alive = alive_;
-  radio_.simulator().schedule_after(config_.phase, [this, alive]() {
-    const auto flag = alive.lock();
-    if (!flag || !*flag || !running_) return;
+  timer_ = radio_.simulator().schedule_after(config_.phase, [this]() {
+    if (!running_) return;
     radio_.set_listening(true);
     note_transition(true);
     schedule_sleep();
   });
 }
 
-DutyCycleController::~DutyCycleController() { *alive_ = false; }
+DutyCycleController::~DutyCycleController() { timer_.cancel(); }
 
 void DutyCycleController::note_transition(bool now_listening) {
   const sim::TimePoint now = radio_.simulator().now();
@@ -76,10 +73,8 @@ void DutyCycleController::schedule_sleep() {
     stop();
     return;
   }
-  std::weak_ptr<bool> alive = alive_;
-  radio_.simulator().schedule_after(on_span_, [this, alive]() {
-    const auto flag = alive.lock();
-    if (!flag || !*flag || !running_) return;
+  timer_ = radio_.simulator().schedule_after(on_span_, [this]() {
+    if (!running_) return;
     radio_.set_listening(false);
     note_transition(false);
     schedule_wake();
@@ -91,15 +86,13 @@ void DutyCycleController::schedule_wake() {
     stop();
     return;
   }
-  std::weak_ptr<bool> alive = alive_;
-  radio_.simulator().schedule_after(config_.period - on_span_,
-                                    [this, alive]() {
-                                      const auto flag = alive.lock();
-                                      if (!flag || !*flag || !running_) return;
-                                      radio_.set_listening(true);
-                                      note_transition(true);
-                                      schedule_sleep();
-                                    });
+  timer_ = radio_.simulator().schedule_after(
+      config_.period - on_span_, [this]() {
+        if (!running_) return;
+        radio_.set_listening(true);
+        note_transition(true);
+        schedule_sleep();
+      });
 }
 
 }  // namespace retri::radio

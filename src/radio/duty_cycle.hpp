@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "radio/radio.hpp"
 #include "sim/time.hpp"
@@ -66,7 +65,7 @@ class DutyCycleController {
   sim::TimePoint last_transition_;
   sim::Duration accumulated_awake_{};
   bool awake_ = true;
-  std::shared_ptr<bool> alive_;
+  sim::EventHandle timer_;  // the one pending wake or sleep
 };
 
 }  // namespace retri::radio

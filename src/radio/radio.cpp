@@ -31,6 +31,11 @@ Radio::Radio(sim::BroadcastMedium& medium, sim::NodeId node, RadioConfig config,
   });
 }
 
+Radio::~Radio() {
+  pending_.cancel();
+  medium_.attach(node_, nullptr);
+}
+
 sim::Duration Radio::airtime(std::size_t payload_bytes) const noexcept {
   const double bits = static_cast<double>(payload_bytes * 8 +
                                           energy_.model().per_frame_overhead_bits);
@@ -74,10 +79,11 @@ void Radio::transmit_front() {
   --queued_;
   head_ = queued_ == 0 ? 0 : (head_ + 1) % ring_.size();
 
-  medium_.simulator().schedule_after(air + config_.interframe_gap, [this]() {
-    busy_ = false;
-    start_next();
-  });
+  pending_ = medium_.simulator().schedule_after(
+      air + config_.interframe_gap, [this]() {
+        busy_ = false;
+        start_next();
+      });
 }
 
 void Radio::start_next() {
@@ -91,7 +97,8 @@ void Radio::start_next() {
         rng_.below(static_cast<std::uint64_t>(config_.max_backoff.ns()))));
   }
 
-  medium_.simulator().schedule_after(backoff, [this]() { transmit_front(); });
+  pending_ =
+      simulator().schedule_after(backoff, [this]() { transmit_front(); });
 }
 
 void Radio::on_medium_rx(sim::NodeId from, const util::Bytes& payload) {

@@ -59,10 +59,14 @@ class Radio {
   Radio(sim::BroadcastMedium& medium, sim::NodeId node, RadioConfig config,
         EnergyModel energy_model, std::uint64_t seed);
 
+  /// Cancels the pending backoff or gap event and leaves the medium.
+  ~Radio();
+
   Radio(const Radio&) = delete;
   Radio& operator=(const Radio&) = delete;
 
-  /// Installs the host's receive handler (replaces any previous one).
+  /// Installs the host's receive handler (replaces any previous one). A
+  /// radio serves one host at a time, which clears it in its destructor.
   void set_receive_callback(RxCallback cb) { rx_callback_ = std::move(cb); }
 
   /// Gates the receiver: while not listening, incoming frames are missed
@@ -116,6 +120,7 @@ class Radio {
   std::size_t head_ = 0;
   std::size_t queued_ = 0;
   bool busy_ = false;
+  sim::EventHandle pending_;  // the one backoff or gap event busy_ allows
   bool listening_ = true;
   RadioCounters counters_;
 };

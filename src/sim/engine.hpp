@@ -41,9 +41,10 @@ namespace retri::sim {
 /// pointer and an index or two (the medium's delivery closure is `[this,
 /// batch]`), so they are trivially copyable: moving one copies the inline
 /// bytes and destroying one does nothing, with no indirect call. The budget
-/// leaves headroom over the biggest closures the simulation schedules (32
-/// bytes: a pointer, a liveness flag and an index in fault::ChurnSchedule);
-/// tests assert representative captures stay inline (test_engine.cpp,
+/// leaves headroom over the biggest closures the simulation schedules (24
+/// bytes, measured: the medium's delayed interceptor copy `[this, from,
+/// listener, payload]` and the chaos trial's pending-state probe); tests
+/// assert representative captures stay inline (test_engine.cpp,
 /// test_event_queue.cpp).
 class EventFn {
  public:

@@ -115,7 +115,8 @@ class BroadcastMedium {
                   std::uint64_t seed, obs::Hooks hooks = {});
 
   /// Registers the receive handler for a node. One handler per node;
-  /// re-attaching replaces the previous handler.
+  /// re-attaching replaces the previous handler. A node serves one radio
+  /// at a time, which detaches (nullptr) in its destructor.
   void attach(NodeId node, RxHandler handler);
 
   /// Broadcasts a copy of `frame`, occupying the channel for `airtime`.

@@ -25,8 +25,7 @@ RandomWaypointMobility::RandomWaypointMobility(BroadcastMedium& medium,
                                                std::uint64_t seed)
     : medium_(medium),
       config_(validated(config)),
-      rng_(seed),
-      alive_(std::make_shared<bool>(true)) {  // retri-lint: allow(no-shared-ptr-hot)
+      rng_(seed) {
   assert(config_.field_side > 0.0);
   assert(config_.radio_range > 0.0);
   assert(config_.speed_min > 0.0 && config_.speed_min <= config_.speed_max);
@@ -44,7 +43,7 @@ RandomWaypointMobility::RandomWaypointMobility(BroadcastMedium& medium,
   schedule_tick();
 }
 
-RandomWaypointMobility::~RandomWaypointMobility() { *alive_ = false; }
+RandomWaypointMobility::~RandomWaypointMobility() { tick_timer_.cancel(); }
 
 RandomWaypointMobility::Waypoint RandomWaypointMobility::pick_waypoint() {
   Waypoint w;
@@ -103,10 +102,8 @@ void RandomWaypointMobility::rebuild_topology() {
 
 void RandomWaypointMobility::schedule_tick() {
   if (medium_.simulator().now() >= config_.stop_at) return;
-  std::weak_ptr<bool> alive = alive_;
-  medium_.simulator().schedule_after(config_.tick, [this, alive]() {
-    const auto flag = alive.lock();
-    if (!flag || !*flag || !running_) return;
+  tick_timer_ = medium_.simulator().schedule_after(config_.tick, [this]() {
+    if (!running_) return;
     ++ticks_;
     advance(config_.tick.to_seconds());
     rebuild_topology();

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sim/medium.hpp"
@@ -81,9 +80,7 @@ class RandomWaypointMobility {
   std::uint64_t link_changes_ = 0;
   std::uint64_t ticks_ = 0;
   bool running_ = true;
-  // Genuinely shared lifetime flag: tick closures outlive `this` when the
-  // model is destroyed mid-run. Cold path — one allocation per model.
-  std::shared_ptr<bool> alive_;  // retri-lint: allow(no-shared-ptr-hot)
+  EventHandle tick_timer_;  // the pending tick
 };
 
 }  // namespace retri::sim

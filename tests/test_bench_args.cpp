@@ -33,6 +33,21 @@ ParseOutcome parse(std::vector<std::string> tokens) {
   return outcome;
 }
 
+// Runs an exit-2 guard against a temporary stream: its status, and what
+// it printed.
+template <typename Guard>
+std::string guard_output(Guard guard, int& status) {
+  std::FILE* err = std::tmpfile();
+  EXPECT_NE(err, nullptr);
+  if (err == nullptr) return std::string();
+  status = guard(err);
+  std::rewind(err);
+  char buf[256] = {};
+  const std::size_t n = std::fread(buf, 1, sizeof buf - 1, err);
+  std::fclose(err);
+  return std::string(buf, n);
+}
+
 }  // namespace
 
 TEST(ParseArgs, DefaultsWhenNoFlags) {
@@ -219,15 +234,11 @@ TEST(RequireNoOut, PassesWhenOutUnset) {
 
 TEST(RequireNoOut, RejectsIgnoredOutWithStatus2AndRedirect) {
   const auto guard_message = [](const BenchArgs& args, int& status) {
-    std::FILE* err = std::tmpfile();
-    EXPECT_NE(err, nullptr);
-    if (err == nullptr) return std::string();
-    status = retri::bench::require_no_out(args, err);
-    std::rewind(err);
-    char buf[256] = {};
-    const std::size_t n = std::fread(buf, 1, sizeof buf - 1, err);
-    std::fclose(err);
-    return std::string(buf, n);
+    return guard_output(
+        [&args](std::FILE* err) {
+          return retri::bench::require_no_out(args, err);
+        },
+        status);
   };
 
   BenchArgs args;
@@ -250,4 +261,65 @@ TEST(RequireNoOut, RejectsIgnoredOutWithStatus2AndRedirect) {
     EXPECT_EQ(status, 2) << tokens[0];
     EXPECT_NE(msg.find(tokens[0]), std::string::npos) << msg;
   }
+}
+
+// A table binary reads only some of the shared flags; any other it was
+// given exits 2 by name before the binary prints anything.
+TEST(RequireOnly, PassesTheFlagsABinaryReads) {
+  const auto outcome = parse({"--seed", "5", "--csv", "--seed", "6"});
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  EXPECT_EQ(outcome.args.given,
+            (std::vector<std::string>{"--seed", "--csv", "--seed"}));
+  EXPECT_EQ(retri::bench::require_only(outcome.args, {"--seed", "--csv"},
+                                       stderr),
+            0);
+  EXPECT_EQ(retri::bench::require_only(BenchArgs{}, {"--csv"}, stderr), 0);
+}
+
+TEST(RequireOnly, RejectsTheFirstUnreadFlagByName) {
+  const auto refusal = [](const std::vector<std::string>& tokens,
+                          int& status) {
+    const auto outcome = parse(tokens);
+    EXPECT_TRUE(outcome.ok) << outcome.error;
+    return guard_output(
+        [&outcome](std::FILE* err) {
+          return retri::bench::require_only(outcome.args, {"--csv"}, err);
+        },
+        status);
+  };
+
+  // fig1_efficiency_16bit's old silent run: it reads only --csv.
+  int status = 0;
+  std::string msg = refusal({"--csv", "--trials", "7", "--senders", "3",
+                             "--jobs", "2", "--seed", "5", "--seconds", "1"},
+                            status);
+  EXPECT_EQ(status, 2);
+  EXPECT_NE(msg.find("--trials is not read"), std::string::npos) << msg;
+  EXPECT_EQ(msg.find("--senders"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("--csv"), std::string::npos) << msg;
+
+  for (const std::vector<std::string>& tokens :
+       std::vector<std::vector<std::string>>{{"--trials", "7"},
+                                             {"--senders", "3"},
+                                             {"--jobs", "2"},
+                                             {"--seed", "5"},
+                                             {"--seconds", "1"}}) {
+    status = 0;
+    msg = refusal(tokens, status);
+    EXPECT_EQ(status, 2) << tokens[0];
+    EXPECT_NE(msg.find(tokens[0] + " is not read"), std::string::npos) << msg;
+  }
+
+  // --out keeps its redirect, and retri_bench's flags their refusal.
+  status = 0;
+  msg = refusal({"--trials", "7", "--out", "fig.json"}, status);
+  EXPECT_EQ(status, 2);
+  EXPECT_NE(msg.find("retri_bench --sweep NAME --out fig.json"),
+            std::string::npos)
+      << msg;
+  status = 0;
+  msg = refusal({"--sweep", "fig4"}, status);
+  EXPECT_EQ(status, 2);
+  EXPECT_NE(msg.find("--sweep is a retri_bench flag"), std::string::npos)
+      << msg;
 }

@@ -295,7 +295,6 @@ TEST_F(DriverTest, DestroyedDriverCancelsItsPendingTimers) {
   ASSERT_FALSE(transaction->ended) << "the drain timer already fired";
 
   driver.reset();
-  radio.set_receive_callback(nullptr);  // ~AffDriver leaves it installed
   // Well past both timers' due times: the drain within a few frames, the
   // expiry half a timeout after the intro.
   sim.run_until(sim::TimePoint::origin() + sim::Duration::seconds(5));

@@ -201,32 +201,27 @@ TEST(LintRules, SharedPtrBannedInSimAndCoreOnly) {
                             "no-shared-ptr-hot"));
   EXPECT_TRUE(has_violation(scan("src/core/selector.cpp", body),
                             "no-shared-ptr-hot"));
-  // Outside the scoped hot paths the rule is silent: shared lifetime flags
-  // in drivers and the rest of util are legitimate.
-  EXPECT_FALSE(has_violation(scan("src/aff/driver.cpp", body),
-                             "no-shared-ptr-hot"));
-  EXPECT_FALSE(has_violation(scan("src/util/json.cpp", body),
-                             "no-shared-ptr-hot"));
+  // The rule covers all of src/: a driver cancels its timers in its
+  // destructor instead of sharing a lifetime flag with their closures.
+  EXPECT_TRUE(has_violation(scan("src/aff/driver.cpp", body),
+                            "no-shared-ptr-hot"));
+  EXPECT_TRUE(has_violation(scan("src/util/json.cpp", body),
+                            "no-shared-ptr-hot"));
   EXPECT_FALSE(has_violation(scan("tests/test_medium.cpp", body),
                              "no-shared-ptr-hot"));
 }
 
-// The send path's own files are in scope too, so util::SharedBytes, the
-// radio queue and the traffic source cannot drift back to atomic
-// refcounts; their neighbours keep their shared lifetime flags.
+// The send path's own files are in scope, so util::SharedBytes, the radio
+// queue and the traffic source cannot drift back to atomic refcounts; nor
+// can their neighbours grow a shared lifetime flag again.
 TEST(LintRules, SharedPtrBannedOnTheSendPath) {
   const std::string body = "std::shared_ptr<bool> alive_;\n";
   for (const char* path :
        {"src/util/bytes.hpp", "src/util/bytes.cpp", "src/radio/radio.hpp",
         "src/radio/radio.cpp", "src/apps/workload.hpp",
-        "src/apps/workload.cpp"}) {
+        "src/apps/workload.cpp", "src/radio/duty_cycle.hpp",
+        "src/apps/interest.hpp", "src/util/bitops.hpp"}) {
     EXPECT_TRUE(has_violation(scan(path, body), "no-shared-ptr-hot"))
-        << path;
-  }
-  for (const char* path :
-       {"src/radio/duty_cycle.hpp", "src/apps/interest.hpp",
-        "src/util/bitops.hpp"}) {
-    EXPECT_FALSE(has_violation(scan(path, body), "no-shared-ptr-hot"))
         << path;
   }
 }
@@ -380,9 +375,10 @@ TEST(LintScope, ScopePrefixesRestrictWhereARuleApplies) {
   EXPECT_TRUE(lint::rule_applies(*hot, "src/util/bytes.hpp"));
   EXPECT_TRUE(lint::rule_applies(*hot, "src/radio/radio.cpp"));
   EXPECT_TRUE(lint::rule_applies(*hot, "src/apps/workload.hpp"));
-  EXPECT_FALSE(lint::rule_applies(*hot, "src/aff/driver.cpp"));
-  EXPECT_FALSE(lint::rule_applies(*hot, "src/radio/duty_cycle.cpp"));
+  EXPECT_TRUE(lint::rule_applies(*hot, "src/aff/driver.cpp"));
+  EXPECT_TRUE(lint::rule_applies(*hot, "src/radio/duty_cycle.cpp"));
   EXPECT_FALSE(lint::rule_applies(*hot, "bench/retri_bench.cpp"));
+  EXPECT_FALSE(lint::rule_applies(*hot, "tests/test_engine.cpp"));
 
   // Rules without scope_prefixes keep their applies-everywhere default.
   const lint::Rule* rand_rule = find_rule("no-unseeded-rand");

@@ -139,14 +139,14 @@ std::vector<Rule> make_default_rules() {
       R"(\bstd::make_shared\b|\bstd::shared_ptr\b)",
       {},
       {},
-      "shared_ptr refcounting allocates and takes locked atomics on the "
-      "sim/core hot path and the send path (util::SharedBytes, the radio "
-      "queue, the traffic source); use the event slab, pooled records, "
-      "intrusive single-threaded counts or sim::EventHandle — escape with "
-      "retri-lint: allow(no-shared-ptr-hot) where ownership is genuinely "
-      "shared",
-      {"src/sim/", "src/core/", "src/util/bytes.", "src/radio/radio.",
-       "src/apps/workload."}});
+      "shared_ptr refcounting allocates and takes locked atomics; src/ "
+      "has one lifetime rule instead: a component cancels the "
+      "sim::EventHandle of each timer it schedules and clears each callback "
+      "it installs in its destructor (DESIGN.md §5e), and payloads use "
+      "pooled records or intrusive single-threaded counts "
+      "(util::SharedBytes) — escape with retri-lint: "
+      "allow(no-shared-ptr-hot) where ownership is genuinely shared",
+      {"src/"}});
 
   rules.push_back(Rule{
       "no-priority-queue-sim",
